@@ -137,7 +137,6 @@ def _flood(topo, n: int, seed: int):
 def _config(shards: int, backend: str):
     return dataclasses.replace(
         PRODUCTION_CONFIG,
-        fast_path=True,
         runtime=dataclasses.replace(
             PRODUCTION_CONFIG.runtime, shards=shards, backend=backend
         ),
@@ -146,11 +145,7 @@ def _config(shards: int, backend: str):
 
 def _offline_reference(topo, state, merged) -> List[Tuple[str, str]]:
     set_incident_counter(1)
-    runtime = RuntimeService(
-        topo,
-        config=dataclasses.replace(PRODUCTION_CONFIG, fast_path=True),
-        state=state,
-    )
+    runtime = RuntimeService(topo, config=PRODUCTION_CONFIG, state=state)
     for raw in merged:
         runtime.ingest(raw)
     runtime.pipeline.finish()

@@ -3,28 +3,24 @@ and execution backend.
 
 Replays a seeded *rolling* severe-failure storm (continuous failures
 and recoveries, ~20% of the fabric down at any instant) through the
-sharded locator at shard counts {1, 2, 4}, on both the reference and
-``fast_path`` grouping rules, on both execution backends -- ``inproc``
-(:class:`repro.runtime.ShardedLocator`, all shards on one thread) and
-``mp`` (:class:`repro.runtime.MPShardedLocator`, one spawned worker
-process per shard) -- and reports alerts/sec through the locate stage.
-Output identity across every (shards, backend) cell is asserted on
-every tier (the differential gate of
+sharded locator at shard counts {1, 2, 4} on both execution backends
+-- ``inproc`` (:class:`repro.runtime.ShardedLocator`, all shards on one
+thread) and ``mp`` (:class:`repro.runtime.MPShardedLocator`, one spawned
+worker process per shard) -- and reports alerts/sec through the locate
+stage.  Output identity across every (shards, backend) cell is asserted
+on every tier (the differential gate of
 ``tests/runtime/test_shard_invariance.py``, re-checked here at flood
 scale), so the throughput numbers are for *exactly equivalent* work.
 
-The committed ``BENCH_runtime_throughput.json`` documents the payoff the
-runtime's shard router buys on the reference rules, where grouping cost
-is quadratic in live tree locations: partitioning the benchmark fabric's
-regions over shards divides that quadratic term even on a single core.
-The ``mp`` rows add what worker processes buy on top: on a multi-core
-host the per-shard partition work runs concurrently, so the report
-asserts >=1.5x mp-over-inproc at 4 shards on the 50k tier *when the
-host has >=2 cores* (``cpu_count`` is recorded in the JSON; on a
-single-core host mp can only measure its IPC overhead, so the assert is
-skipped and the honest slowdown is committed instead).
+The committed ``BENCH_runtime_throughput.json`` records what the cells
+cost, with ``cpu_count`` beside them; it asserts no speed-up.  Grouping
+is near-linear in live tree locations, so shards divide nothing worth
+dividing (``speedup_vs_1_shard`` sits around 1.0) and a worker process
+per shard pays pipe round trips for work that was already cheap
+(``speedup_vs_inproc`` below 1.0): shards are the runtime's
+fault-isolation unit, not a throughput lever.
 
-Environment knobs (same contract as bench_perf_flood):
+Environment knobs:
 
 * ``SKYNET_BENCH_TIERS`` -- comma list of tiers (``1k,10k,50k`` or
   ``all``; default ``1k,10k``).  CI's runtime-smoke job runs ``1k``.
@@ -91,12 +87,11 @@ def _flood(topo, n: int, seed: int) -> List[Tuple[float, object]]:
     """Rolling severe-failure storm, pre-preprocessed to ``n`` structured
     alerts -- the locate stage's input unit.
 
-    Unlike ``bench_perf_flood``'s one permanent wave, devices here fail
-    *and recover* continuously (each outage 10-20 min, ~20% of the fabric
-    down at any instant over a 2 h horizon).  That is the Sec. 2.2 regime
-    the runtime targets: the alerting-location set keeps churning, so the
-    quadratic grouping term keeps being paid -- which is exactly the work
-    the shard router divides.
+    Devices fail *and recover* continuously (each outage 10-20 min,
+    ~20% of the fabric down at any instant over a 2 h horizon).  That is
+    the Sec. 2.2 regime the runtime targets: the alerting-location set
+    keeps churning, so the grouping memo keeps being invalidated and
+    every sweep pays for a fresh partition.
     """
     rng = random.Random(seed)
     state = NetworkState(topo)
@@ -125,11 +120,10 @@ def _flood(topo, n: int, seed: int) -> List[Tuple[float, object]]:
 
 
 def _locate(
-    topo, structured, shards: int, fast: bool, backend: str
+    topo, structured, shards: int, backend: str
 ) -> Tuple[float, ShardedLocator]:
     config = dataclasses.replace(
         PRODUCTION_CONFIG,
-        fast_path=fast,
         runtime=dataclasses.replace(
             PRODUCTION_CONFIG.runtime, shards=shards, backend=backend
         ),
@@ -182,81 +176,44 @@ def test_runtime_throughput(emit):
             "rows": [],
         }
         expected = None
-        speedup_at = {}  # (backend, rules, shards) -> x over 1 shard
-        seconds_at = {}  # (backend, rules, shards) -> locate seconds
+        inproc_s = {}  # shards -> in-process locate seconds
         for backend in BACKENDS:
-            for fast in (False, True):
-                rules = "fast" if fast else "reference"
-                base_s = None
-                for shards in SHARD_COUNTS:
-                    seconds, locator = _locate(
-                        topo, structured, shards, fast, backend
-                    )
-                    fp = _fingerprint(locator)
-                    if isinstance(locator, MPShardedLocator):
-                        locator.close()
-                    if expected is None:
-                        expected = fp
-                        tier["incidents"] = len(fp)
-                    assert fp == expected, (
-                        f"tier {name}: {backend} backend, {rules} rules at "
-                        f"{shards} shard(s) diverged from the reference output"
-                    )
-                    if base_s is None:
-                        base_s = seconds
-                    speedup = base_s / seconds if seconds > 0 else float("inf")
-                    speedup_at[(backend, rules, shards)] = speedup
-                    seconds_at[(backend, rules, shards)] = seconds
-                    throughput = (
-                        len(structured) / seconds if seconds > 0 else 0.0
-                    )
-                    row = {
-                        "backend": backend,
-                        "rules": rules,
-                        "shards": shards,
-                        "locate_s": round(seconds, 4),
-                        "alerts_per_s": round(throughput, 1),
-                        "speedup_vs_1_shard": round(speedup, 2),
-                    }
-                    inproc_s = seconds_at.get(("inproc", rules, shards))
-                    if backend == "mp" and inproc_s:
-                        row["speedup_vs_inproc"] = round(inproc_s / seconds, 2)
-                    tier["rows"].append(row)
-                    emit(
-                        "runtime_throughput",
-                        f"{name} {backend:6s} {rules:9s} shards={shards}: "
-                        f"{seconds:.3f}s locate, {throughput:,.0f} alerts/s "
-                        f"({speedup:.2f}x vs 1 shard)",
-                    )
-        report["tiers"].append(tier)
-        # the tentpole target: sharding pays for itself where grouping is
-        # quadratic -- >=2x locate throughput at 4 shards on the 50k tier
-        if name == "50k":
-            assert speedup_at[("inproc", "reference", 4)] >= 2.0, (
-                f"50k reference 4-shard speedup "
-                f"{speedup_at[('inproc', 'reference', 4)]:.2f}x below the "
-                f"2x target"
-            )
-            # worker processes must beat the in-process backend where there
-            # are cores to run them on; a single-core host can only measure
-            # mp's IPC overhead, so the honest numbers are committed but
-            # the parallel-speedup target is not asserted
-            mp_gain = (
-                seconds_at[("inproc", "reference", 4)]
-                / seconds_at[("mp", "reference", 4)]
-            )
-            if cpu_count >= 2:
-                assert mp_gain >= 1.5, (
-                    f"50k reference 4-shard mp-over-inproc speedup "
-                    f"{mp_gain:.2f}x below the 1.5x target "
-                    f"({cpu_count} cores)"
+            base_s = None
+            for shards in SHARD_COUNTS:
+                seconds, locator = _locate(topo, structured, shards, backend)
+                fp = _fingerprint(locator)
+                if isinstance(locator, MPShardedLocator):
+                    locator.close()
+                if expected is None:
+                    expected = fp
+                    tier["incidents"] = len(fp)
+                assert fp == expected, (
+                    f"tier {name}: {backend} backend at {shards} shard(s) "
+                    f"diverged from the 1-shard in-process output"
                 )
-            else:
+                if base_s is None:
+                    base_s = seconds
+                speedup = base_s / seconds if seconds > 0 else float("inf")
+                throughput = len(structured) / seconds if seconds > 0 else 0.0
+                row = {
+                    "backend": backend,
+                    "shards": shards,
+                    "locate_s": round(seconds, 4),
+                    "alerts_per_s": round(throughput, 1),
+                    "speedup_vs_1_shard": round(speedup, 2),
+                }
+                if backend == "inproc":
+                    inproc_s[shards] = seconds
+                elif seconds > 0:
+                    row["speedup_vs_inproc"] = round(inproc_s[shards] / seconds, 2)
+                tier["rows"].append(row)
                 emit(
                     "runtime_throughput",
-                    f"50k mp-over-inproc {mp_gain:.2f}x on a single core; "
-                    f">=1.5x target needs >=2 cores, skipping assert",
+                    f"{name} {backend:6s} shards={shards}: "
+                    f"{seconds:.3f}s locate, {throughput:,.0f} alerts/s "
+                    f"({speedup:.2f}x vs 1 shard)",
                 )
+        report["tiers"].append(tier)
 
     JSON_PATH.parent.mkdir(parents=True, exist_ok=True)
     with open(JSON_PATH, "w") as fh:

@@ -65,27 +65,37 @@ class AlertTree:
     structural bookkeeping is implicit in the location paths, so subtree
     queries are containment scans over the (small) set of alerting nodes.
 
-    With ``fast=True`` the tree additionally maintains a lazy min-heap
-    over record freshness so :meth:`expire` visits only the records that
-    are actually due, instead of walking the whole tree every sweep.
-    The removal set is identical either way (the flood equivalence suite
-    pins this); the reference walk stays the default.
+    A lazy min-heap over record freshness lets :meth:`expire` visit only
+    the records that are actually due instead of walking the whole tree
+    every sweep (the walk survives as the test oracle,
+    ``tests/reference_oracle.py``).
 
-    Two cheap indices are maintained in both modes for incremental
-    consumers: :attr:`structure_version` changes whenever the *set of
-    live locations* changes (node created or dropped), and
+    Two cheap indices are maintained for incremental consumers:
+    :attr:`structure_version` changes whenever the *set of live
+    locations* changes (node created or dropped), and
     :meth:`consume_dirty` drains the locations touched since last asked.
     """
 
-    def __init__(self, fast: bool = False) -> None:
+    def __init__(self) -> None:
         self._nodes: Dict[LocationPath, Dict[AlertTypeKey, TreeRecord]] = {}
-        self._fast = fast
         #: bumped whenever a location node appears or disappears
         self.structure_version = 0
         self._dirty: Set[LocationPath] = set()
         # lazy expiry heap: (last_seen at push time, tiebreak, location, type)
         self._expiry_heap: List[Tuple[float, int, LocationPath, AlertTypeKey]] = []
         self._heap_seq = itertools.count()
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        """Checkpoints pickle live trees and carry no version.  A tree
+        written while the expiry heap was optional has a ``_fast`` flag
+        and, where that was off, an empty heap: rebuild the heap from the
+        live records, or none of them would ever expire."""
+        heap_was_kept = state.pop("_fast", True)
+        self.__dict__.update(state)
+        if not heap_was_kept:
+            for location, node in self._nodes.items():
+                for key, record in node.items():
+                    self._push_expiry(location, key, record.last_seen)
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -103,8 +113,7 @@ class AlertTree:
         """Algorithm 1's node insertion: create-or-update the record for the
         alert's (location, type)."""
         record = self._insert_one(alert)
-        if self._fast:
-            self._push_expiry(alert.location, alert.type_key, record.last_seen)
+        self._push_expiry(alert.location, alert.type_key, record.last_seen)
         return record
 
     def insert_batch(self, alerts: Iterable[StructuredAlert]) -> int:
@@ -121,9 +130,8 @@ class AlertTree:
             record = self._insert_one(alert)
             touched[(alert.location, alert.type_key)] = record
             count += 1
-        if self._fast:
-            for (location, key), record in touched.items():
-                self._push_expiry(location, key, record.last_seen)
+        for (location, key), record in touched.items():
+            self._push_expiry(location, key, record.last_seen)
         return count
 
     def _insert_one(self, alert: StructuredAlert) -> TreeRecord:
@@ -148,27 +156,12 @@ class AlertTree:
         )
 
     def expire(self, now: float, timeout_s: float) -> int:
-        """Algorithm 3 lines 1-3: drop stale records and empty nodes."""
-        if self._fast:
-            return self._expire_fast(now, timeout_s)
-        removed = 0
-        for location in list(self._nodes):
-            node = self._nodes[location]
-            for key in list(node):
-                if node[key].expired(now, timeout_s):
-                    del node[key]
-                    removed += 1
-            if not node:
-                del self._nodes[location]
-                self.structure_version += 1
-                self._dirty.discard(location)
-        return removed
+        """Algorithm 3 lines 1-3: drop stale records and empty nodes.
 
-    def _expire_fast(self, now: float, timeout_s: float) -> int:
-        """Heap-backed expiry: pop entries whose pushed freshness is past
-        the timeout; a record refreshed since its entry was pushed fails
-        the live ``expired`` re-check and survives (its refresh pushed a
-        newer entry, so it will be revisited when that one is due)."""
+        Pops heap entries whose pushed freshness is past the timeout; a
+        record refreshed since its entry was pushed fails the live
+        ``expired`` re-check and survives (its refresh pushed a newer
+        entry, so it will be revisited when that one is due)."""
         removed = 0
         heap = self._expiry_heap
         while heap and now > heap[0][0] + timeout_s:

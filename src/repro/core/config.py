@@ -152,13 +152,6 @@ class SkyNetConfig:
     incident_timeout_s: float = 900.0
     #: count duplicate alert types once (False = Figure 9's "type+location")
     count_by_type: bool = True
-    #: opt-in flood-scale hot path: batched locator feeds, heap-based
-    #: node expiry and index-backed connectivity grouping.  Output is
-    #: equivalent to the reference implementation (the
-    #: tests/test_equivalence_flood.py differential suite pins this); the
-    #: toggle exists so the straight-from-the-paper reference code stays
-    #: runnable for differential testing and debugging.
-    fast_path: bool = False
     #: device-graph hops within which alerting devices share a root cause
     connectivity_max_hops: int = 2
     #: how often the locator sweeps trees for generation/expiry

@@ -53,8 +53,8 @@ class Evaluator:
         self._config = config or SkyNetConfig()
         self._state = state
         self._traffic = traffic or (state.traffic if state else None)
-        # fast path: related circuit sets per incident scope; the lookup
-        # walks every device under the scope, and open incidents are
+        # related circuit sets per incident scope; the lookup walks
+        # every device under the scope, and open incidents are
         # re-assessed every sweep, so the memo turns a per-sweep topology
         # scan into a dict hit.  Keyed on the topology mutation counter.
         self._cs_memo: Dict[LocationPath, List[str]] = {}
@@ -174,8 +174,6 @@ class Evaluator:
 
     def _related_circuit_sets(self, incident: Incident) -> List[str]:
         root = incident.location
-        if not self._config.fast_path:
-            return self._lookup_circuit_sets(root)
         version = self._topo.version
         if version != self._cs_memo_version:
             self._cs_memo.clear()

@@ -18,19 +18,18 @@ once ("we consolidate alarms of the same type from different devices into
 a single alert"), unless ``config.count_by_type`` is off -- that is the
 Figure 9 "type+location" ablation, which explodes false positives.
 
-Flood-scale fast path (``config.fast_path``): §6.2 promises end-to-end
-locating in seconds under production floods.  The reference
-implementation above is quadratic in alerting locations per sweep (the
-pairwise containment scans in :meth:`Locator._component_partition`), so
-the opt-in fast path batches :meth:`Locator.feed` into a pending buffer
-drained at sweep time, expires main-tree records through a freshness
-heap, and replaces the pairwise scans with prefix-indexed union-find
+Flood scale: §6.2 promises end-to-end locating in seconds under
+production floods, so :meth:`Locator.feed` only buffers -- the open-
+incident set changes at sweeps alone, and :meth:`Locator.flush` applies
+a sweep interval's alerts in one pass; main-tree records expire through
+a freshness heap; connectivity grouping is a prefix-indexed union-find
 (every containment edge runs through a registered ancestor prefix, so
-walking each location's ancestor prefixes finds exactly the same edges).
-Candidate groups are memoised on the tree's structure version between
-sweeps.  Outputs are identical to the reference path --
-``tests/test_equivalence_flood.py`` holds the two implementations
-bit-for-bit equal over a battery of seeded failure floods.
+walking each location's ancestor prefixes finds every edge a pairwise
+containment scan would); and candidate groups are memoised on the
+tree's structure version between sweeps.  The straight-from-the-paper
+quadratic version lives on as ``tests/reference_oracle.py``, which
+``tests/test_equivalence_flood.py`` holds bit-for-bit equal to this
+module over a battery of seeded failure floods.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..topology.hierarchy import Level, LocationPath, lowest_common_ancestor
+from ..topology.hierarchy import Level, LocationPath
 from ..topology.network import Topology
 from .alert import AlertLevel, StructuredAlert
 from .alert_tree import AlertTree, TreeRecord
@@ -64,13 +63,12 @@ class Locator:
     def __init__(self, topology: Topology, config: Optional[SkyNetConfig] = None) -> None:
         self._topo = topology
         self._config = config or SkyNetConfig()
-        self._fast = self._config.fast_path
-        self.main_tree = AlertTree(fast=self._fast)
+        self.main_tree = AlertTree()
         self._open: List[Incident] = []
         self._finished: List[Incident] = []
-        # fast path: alerts buffered between sweeps (drained by flush())
+        # alerts buffered between sweeps (drained by flush())
         self._pending: List[StructuredAlert] = []
-        # fast path: candidate groups memoised on the tree structure version
+        # candidate groups memoised on the tree structure version
         self._groups_cache: Optional[List[CandidateGroup]] = None
         self._groups_version = -1
 
@@ -114,35 +112,24 @@ class Locator:
     # -- Algorithm 1: alert insertion ------------------------------------------------
 
     def feed(self, alert: StructuredAlert) -> None:
-        """Insert one structured alert into the main and incident trees.
+        """Accept one structured alert for the main and incident trees.
 
-        On the fast path the alert is buffered instead and applied by
-        :meth:`flush` (called at sweep time): the open-incident set only
-        changes at sweeps, so batching a sweep-interval's worth of alerts
-        reaches exactly the same tree and incident state."""
-        if self._fast:
-            self._pending.append(alert)
-            return
-        for incident in self._open:
-            if incident.covers(alert.location):
-                incident.add(alert)
-        self.main_tree.insert(alert)
+        The alert is buffered and applied by :meth:`flush` (called at
+        sweep time and by readers): the open-incident set only changes at
+        sweeps, so batching a sweep-interval's worth of alerts reaches
+        exactly the tree and incident state per-alert insertion would."""
+        self._pending.append(alert)
 
     def feed_many(self, alerts: Iterable[StructuredAlert]) -> None:
         """Feed a batch of structured alerts (order within the batch is
         preserved, matching repeated :meth:`feed` calls)."""
-        if self._fast:
-            self._pending.extend(alerts)
-            return
-        for alert in alerts:
-            self.feed(alert)
+        self._pending.extend(alerts)
 
     def flush(self) -> None:
         """Drain buffered alerts into the main tree and open incidents.
 
-        A no-op on the reference path (nothing is ever buffered).  Alerts
-        are applied in arrival order; incident-coverage checks collapse to
-        one containment test per (incident, location) pair."""
+        Alerts are applied in arrival order; incident-coverage checks
+        collapse to one containment test per (incident, location) pair."""
         if not self._pending:
             return
         pending, self._pending = self._pending, []
@@ -162,8 +149,7 @@ class Locator:
 
     def sweep(self, now: float) -> SweepResult:
         """Expire stale state, then try to generate new incident trees."""
-        if self._fast:
-            self.flush()
+        self.flush()
         expired = self.main_tree.expire(now, self._config.node_timeout_s)
         closed = self._close_idle(now)
         opened = self._generate(now)
@@ -212,97 +198,20 @@ class Locator:
     # -- connectivity grouping ------------------------------------------------------------
 
     def _candidate_groups(self) -> List[CandidateGroup]:
-        """Rooted candidate groups for this sweep, widest first.
+        """Rooted candidate groups for this sweep, :func:`widest_first`,
+        memoised between sweeps.
 
         The extension hook for alternative grouping engines (the sharded
         locator in ``repro.runtime`` overrides this with a per-shard
-        partition plus an exact cross-shard merge); the base class picks
-        the reference pairwise scan or the prefix-indexed fast path."""
-        if self._fast:
-            return self._indexed_groups()
-        components = self._component_partition(self.main_tree.locations())
-        # widest groups first so a broad incident supersedes narrow ones
-        components.sort(key=lambda comp: len(_lca(comp).segments))
-        return [(_lca(comp), comp) for comp in components]
-
-    def _component_partition(
-        self, locations: List[LocationPath]
-    ) -> List[List[LocationPath]]:
-        """Partition alerting locations into topology-connected groups.
-
-        Rules (see DESIGN.md):
-        * two alerting *devices* join when within ``connectivity_max_hops``
-          of each other in the device graph;
-        * two structural locations join on containment;
-        * a device joins a structural location when it sits inside it, or
-          when the structural location sits inside the device's parent
-          (an aggregation device glues the area it serves).  The downward
-          glue only applies to devices attached at logic-site level or
-          deeper: a backbone router's alert must not claim every alert in
-          its region, or concurrent scenes would merge into one blob.
-        """
-        if not locations:
-            return []
-        parent: Dict[LocationPath, LocationPath] = {loc: loc for loc in locations}
-
-        def find(x: LocationPath) -> LocationPath:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a: LocationPath, b: LocationPath) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        device_locs = [loc for loc in locations if loc.is_device]
-        struct_locs = [loc for loc in locations if not loc.is_device]
-
-        by_name = {loc.name: loc for loc in device_locs}
-        for group in self._topo.connected_device_components(
-            list(by_name), max_hops=self._config.connectivity_max_hops
-        ):
-            members = [by_name[n] for n in group if n in by_name]
-            for other in members[1:]:
-                union(members[0], other)
-
-        for i, a in enumerate(struct_locs):
-            for b in struct_locs[i + 1 :]:
-                if a.contains(b) or b.contains(a):
-                    union(a, b)
-
-        for dev in device_locs:
-            dev_parent = dev.parent
-            glues_down = dev_parent.level.value >= Level.LOGIC_SITE.value
-            for struct in struct_locs:
-                if struct.contains(dev) or (
-                    glues_down and dev_parent.contains(struct)
-                ):
-                    union(dev, struct)
-
-        groups: Dict[LocationPath, List[LocationPath]] = {}
-        for loc in locations:
-            groups.setdefault(find(loc), []).append(loc)
-        return list(groups.values())
-
-    # -- connectivity grouping, fast path ------------------------------------------------
-
-    def _indexed_groups(self) -> List[CandidateGroup]:
-        """Candidate groups via prefix indices, memoised between sweeps.
-
-        The partition only depends on the *set* of alerting locations, so
-        the memo stays valid until the tree gains or loses a node
-        (``structure_version``).  The grouping rules are those of
-        :meth:`_component_partition`; only the edge discovery differs --
-        every containment edge there joins a location to one of its
-        ancestor prefixes, so an ancestor-prefix walk over a segments
-        index finds the same edge set in O(locations x depth) instead of
-        O(locations^2) pairwise containment tests."""
+        partition plus an exact cross-shard merge).  The partition only
+        depends on the *set* of alerting locations, so the memo stays
+        valid until the tree gains or loses a node
+        (``structure_version``)."""
         version = self.main_tree.structure_version
         if self._groups_cache is not None and self._groups_version == version:
             return self._groups_cache
-        groups = self._compute_indexed_groups()
+        components = self._indexed_partition(self.main_tree.locations())
+        groups = widest_first([(_lca_prefix(comp), comp) for comp in components])
         self._groups_cache, self._groups_version = groups, version
         return groups
 
@@ -357,17 +266,27 @@ class Locator:
             groups.setdefault(find(name), []).append(name)
         return list(groups.values())
 
-    def _compute_indexed_groups(self) -> List[CandidateGroup]:
-        components = self._indexed_partition(self.main_tree.locations())
-        out = [(_lca_prefix(comp), comp) for comp in components]
-        # widest groups first (stable, matching the reference sort order)
-        out.sort(key=lambda pair: len(pair[0].segments))
-        return out
-
     def _indexed_partition(
         self, locations: List[LocationPath]
     ) -> List[List[LocationPath]]:
-        """:meth:`_component_partition` via prefix indices (same output)."""
+        """Partition alerting locations into topology-connected groups.
+
+        Rules (see DESIGN.md):
+
+        * two alerting *devices* join when within ``connectivity_max_hops``
+          of each other in the device graph;
+        * two structural locations join on containment;
+        * a device joins a structural location when it sits inside it, or
+          when the structural location sits inside the device's parent
+          (an aggregation device glues the area it serves).  The downward
+          glue only applies to devices attached at logic-site level or
+          deeper: a backbone router's alert must not claim every alert in
+          its region, or concurrent scenes would merge into one blob.
+
+        Every containment edge joins a location to one of its ancestor
+        prefixes, so an ancestor-prefix walk over a segments index finds
+        the edge set in O(locations x depth) instead of O(locations^2)
+        pairwise containment tests."""
         if not locations:
             return []
         # integer-indexed union-find: find/union are pure list ops, no
@@ -454,14 +373,24 @@ class Locator:
         return len(failure_keys), len(other_keys)
 
 
-def _lca(component: Sequence[LocationPath]) -> LocationPath:
-    if len(component) == 1:
-        return component[0]
-    return lowest_common_ancestor(list(component))
+def widest_first(groups: List[CandidateGroup]) -> List[CandidateGroup]:
+    """Candidate groups in the one total order every grouping engine uses.
+
+    Widest root first, so a broad incident supersedes narrow ones; ties
+    break on the root itself and then on the group's least member
+    (groups are disjoint, so no two share one).  The order -- and with
+    it the incident ids -- therefore depends on the set of groups alone,
+    never on the order a tree or its shards listed them in."""
+
+    def key(group: CandidateGroup) -> Tuple[int, Tuple[str, ...], bool, LocationPath]:
+        root, members = group
+        return len(root.segments), root.segments, root.is_device, min(members)
+
+    return sorted(groups, key=key)
 
 
 def _lca_prefix(component: Sequence[LocationPath]) -> LocationPath:
-    """Same result as :func:`_lca` via one common-prefix computation.
+    """A group's lowest common ancestor via one common-prefix computation.
 
     The structural LCA is the longest common prefix of all members'
     structural segments, and the common prefix of a set of tuples equals

@@ -12,10 +12,9 @@ Typical use::
     for report in reports:
         print(report.incident.render())
 
-Flood-scale runs should enable ``config.fast_path`` (see
-``core/locator.py``): the locator then batches feeds between sweeps and
-uses index-backed grouping/expiry, producing identical incident output
-several times faster (benchmarks/bench_perf_flood.py tracks the ratio).
+The locator buffers fed alerts between sweeps (see ``core/locator.py``),
+so read incidents through :meth:`SkyNet.incidents` / :meth:`SkyNet.reports`,
+which flush first.
 """
 
 from __future__ import annotations
@@ -200,8 +199,8 @@ class SkyNet:
     def incidents(self, include_superseded: bool = False) -> List[Incident]:
         from .incident import IncidentStatus
 
-        # fast path: apply any alerts still buffered since the last sweep
-        # so readers see the same records the reference path would
+        # apply any alerts still buffered since the last sweep, so
+        # readers see every record fed so far
         self.locator.flush()
         items = self.locator.all_incidents()
         if not include_superseded:

@@ -95,10 +95,6 @@ def add_service_arguments(parser: argparse.ArgumentParser) -> None:
         help="locator execution backend: in-process shards or one "
         "worker process per shard (default: config value)",
     )
-    parser.add_argument(
-        "--fast-path", action="store_true",
-        help="enable the flood-scale hot path (config.fast_path)",
-    )
     parser.add_argument("--seed", type=int, default=2025)
     parser.add_argument(
         "--dir", type=pathlib.Path, default=None,
@@ -215,9 +211,7 @@ def _build_config(args: argparse.Namespace) -> SkyNetConfig:
         io_base_backoff_s=over(args.io_base_backoff, base.io_base_backoff_s),
         io_max_backoff_s=over(args.io_max_backoff, base.io_max_backoff_s),
     )
-    return dataclasses.replace(
-        PRODUCTION_CONFIG, fast_path=args.fast_path, runtime=runtime
-    )
+    return dataclasses.replace(PRODUCTION_CONFIG, runtime=runtime)
 
 
 def _split_fields(spec: str, flag: str, minimum: int, maximum: int) -> List[str]:

@@ -1,19 +1,20 @@
 """Location-sharded locating: N independent alert-tree shards, one answer.
 
-The ROADMAP names "sharding the alert tree across locations" as the next
-scaling lever after the PR-2 fast path: under a severe flood the locator's
-per-sweep grouping cost is superlinear in the number of alerting
-locations, so partitioning the main tree by Region subtree divides that
-cost by the shard count.
+The main tree is partitioned by Region subtree, so one shard is the unit
+that can crash and be healed (``supervisor.py``) or run in its own
+worker process (``workers.py``) without touching its siblings.  It is a
+fault-isolation unit, not a throughput lever: the grouping it divides is
+near-linear in alerting locations, and the benchmark of record measures
+four shards at 0.98-1.06x of one.
 
 Naive region sharding is **not** output-equivalent, and this module does
 not pretend it is.  The backbone connects DCBRs across regions, so the
-reference grouping routinely produces cross-region (even ``<root>``-
+unsharded grouping routinely produces cross-region (even ``<root>``-
 rooted) incidents; a partition that never looked across shards would
 miss them.  Instead the sharded locator computes each shard's partition
-independently -- with exactly the reference (or fast-path) rules -- and
-then runs an **exact cross-shard merge** over the only two edge classes
-that can span shards:
+independently -- with exactly the unsharded locator's rules -- and then
+runs an **exact cross-shard merge** over the only two edge classes that
+can span shards:
 
 * **frontier devices** -- a grouping edge between locations in different
   Region subtrees is necessarily a device-to-device hop edge (structural
@@ -23,15 +24,15 @@ that can span shards:
   frontier set.  Scanning alerting frontier-device pairs across shards
   recovers every such edge;
 * **the root shard** -- a root-located alert's node contains every other
-  location, so any live root node merges all components, exactly as the
-  reference pairwise containment scan would.
+  location, so any live root node merges all components, exactly as
+  the unsharded containment rule would.
 
 Everything else about incident generation (thresholds, supersession,
 snapshots, counting) is inherited unchanged from :class:`Locator` by
 swapping the main tree for a :class:`ShardedAlertTree`, so shard-count
 invariance reduces to the partition argument above --
 ``tests/runtime/test_shard_invariance.py`` pins it byte-for-byte against
-the unsharded reference across the flood scenario battery.
+the unsharded locator across the flood scenario battery.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 from ..core.alert import StructuredAlert
 from ..core.alert_tree import AlertTree, TreeRecord
 from ..core.config import SkyNetConfig
-from ..core.locator import CandidateGroup, Locator, _lca
+from ..core.locator import CandidateGroup, Locator, _lca_prefix, widest_first
 from ..topology.hierarchy import LocationPath
 from ..topology.network import Topology
 
@@ -99,12 +100,12 @@ class ShardedAlertTree:
     tree would, so downstream consumers cannot observe the sharding.
     """
 
-    def __init__(self, router: ShardRouter, fast: bool = False) -> None:
+    def __init__(self, router: ShardRouter) -> None:
         self.router = router
         self.shard_trees: List[AlertTree] = [
-            AlertTree(fast=fast) for _ in range(router.shards)
+            AlertTree() for _ in range(router.shards)
         ]
-        self.root_tree = AlertTree(fast=fast)
+        self.root_tree = AlertTree()
         #: location -> shard index, in global first-insertion order
         self._order: Dict[LocationPath, int] = {}
 
@@ -224,16 +225,14 @@ class ShardedAlertTree:
 def partition_locations(
     engine: Locator, locations: List[LocationPath]
 ) -> List[List[LocationPath]]:
-    """One shard's partition with the engine's configured rules.
+    """One shard's partition with the engine's grouping rules.
 
     The single entry point both backends share: the in-process sharded
     locator calls it per shard tree, and each ``repro.runtime.workers``
     worker process calls it over its own tree, so the per-shard
     components are computed by the same pure function either way.
     """
-    if engine.config.fast_path:
-        return engine._indexed_partition(locations)
-    return engine._component_partition(locations)
+    return engine._indexed_partition(locations)
 
 
 def merge_shard_partitions(
@@ -246,9 +245,10 @@ def merge_shard_partitions(
 
     ``shard_parts`` must enumerate shards in the canonical tree order --
     worker shards ``0..N-1`` then :data:`ROOT_SHARD` -- with each shard's
-    components in its own partition order; the merged output (including
-    the stable widest-first tie-break) is then identical no matter where
-    the per-shard partitions were computed.
+    components in its own partition order; the merged groups come back
+    :func:`~repro.core.locator.widest_first`, the same total order the
+    unsharded locator uses, so incident ids do not depend on the shard
+    count or on where the per-shard partitions were computed.
     """
     components: List[List[LocationPath]] = []
     frontier_hits: List[Tuple[int, str, int]] = []  # (shard, device, comp)
@@ -297,10 +297,9 @@ def merge_shard_partitions(
     merged: Dict[int, List[LocationPath]] = {}
     for comp_id, component in enumerate(components):
         merged.setdefault(find(comp_id), []).extend(component)
-    out = [(_lca(component), component) for component in merged.values()]
-    # widest groups first so a broad incident supersedes narrow ones
-    out.sort(key=lambda pair: len(pair[0].segments))
-    return out
+    return widest_first(
+        [(_lca_prefix(component), component) for component in merged.values()]
+    )
 
 
 def frontier_devices(topology: Topology, max_hops: int) -> FrozenSet[str]:
@@ -334,11 +333,11 @@ class ShardedLocator(Locator):
 
     Inherits every algorithm from :class:`Locator` -- feeds, sweeps,
     thresholds, supersession -- and overrides only the candidate-group
-    computation: each shard tree is partitioned independently (with the
-    reference or fast-path rules, memoised per shard on its structure
-    version), then components are unioned across shards along alerting
-    frontier-device edges and through any live root-shard node.  See the
-    module docstring for why that merge is exact.
+    computation: each shard tree is partitioned independently (memoised
+    per shard on its structure version), then components are unioned
+    across shards along alerting frontier-device edges and through any
+    live root-shard node.  See the module docstring for why that merge
+    is exact.
     """
 
     def __init__(
@@ -350,7 +349,7 @@ class ShardedLocator(Locator):
         super().__init__(topology, config)
         count = shards if shards is not None else self._config.runtime.shards
         self.router = ShardRouter(topology, count)
-        self.main_tree = ShardedAlertTree(self.router, fast=self._fast)  # type: ignore[assignment]
+        self.main_tree = ShardedAlertTree(self.router)  # type: ignore[assignment]
         self._frontier = frontier_devices(
             topology, self._config.connectivity_max_hops
         )

@@ -115,9 +115,8 @@ class SupervisedAlertTree(ShardedAlertTree):
     anchor, not a worker.
     """
 
-    def __init__(self, router: ShardRouter, fast: bool = False) -> None:
-        super().__init__(router, fast)
-        self._fast = fast
+    def __init__(self, router: ShardRouter) -> None:
+        super().__init__(router)
         self._base: Dict[int, Optional[bytes]] = {
             i: None for i in range(router.shards)
         }
@@ -190,7 +189,7 @@ class SupervisedAlertTree(ShardedAlertTree):
         """Lose shard ``index``'s live tree, as a dead worker would."""
         if not 0 <= index < len(self.shard_trees):
             raise IndexError(f"no shard {index} (have {len(self.shard_trees)})")
-        self.shard_trees[index] = AlertTree(fast=self._fast)
+        self.shard_trees[index] = AlertTree()
         self._crashed.add(index)
         self.crashes += 1
 
@@ -208,11 +207,7 @@ class SupervisedAlertTree(ShardedAlertTree):
         healed = 0
         for index in sorted(self._crashed):
             base = self._base[index]
-            tree = (
-                pickle.loads(base)
-                if base is not None
-                else AlertTree(fast=self._fast)
-            )
+            tree = pickle.loads(base) if base is not None else AlertTree()
             if index in self._lost:
                 # recovery source destroyed and no rebuilt base was
                 # installed: the heal is empty-tree, data loss admitted
@@ -246,9 +241,7 @@ class SupervisedLocator(ShardedLocator, ShardSupervision):
         shards: Optional[int] = None,
     ) -> None:
         super().__init__(topology, config, shards)
-        self.main_tree = SupervisedAlertTree(  # type: ignore[assignment]
-            self.router, fast=self._fast
-        )
+        self.main_tree = SupervisedAlertTree(self.router)  # type: ignore[assignment]
         self._partitions = {}
 
     @property
@@ -306,7 +299,7 @@ class SupervisedLocator(ShardedLocator, ShardSupervision):
         ):
             super().restore_tree(tree)
             return
-        upgraded = SupervisedAlertTree(self.router, fast=self._fast)
+        upgraded = SupervisedAlertTree(self.router)
         upgraded.shard_trees = tree.shard_trees
         upgraded.root_tree = tree.root_tree
         upgraded._order = tree._order

@@ -137,7 +137,7 @@ def _worker_main(conn: Connection) -> None:
             if command == "init":
                 _, epoch, topology, config = message
                 engine = Locator(topology, config)
-                tree = AlertTree(fast=config.fast_path)
+                tree = AlertTree()
                 memo = None
                 counters = dict.fromkeys(WORKER_COUNTER_KEYS, 0)
                 reply = ("ok", epoch)
@@ -354,8 +354,7 @@ class MPShardedAlertTree:
         self.supervised = supervised
         self._topology = topology
         self._config = config
-        self._fast = config.fast_path
-        self.root_tree = AlertTree(fast=self._fast)
+        self.root_tree = AlertTree()
         #: location -> shard index, in global first-insertion order
         self._order: Dict[LocationPath, int] = {}
         #: parent-side mirror of the worker-shard dirty sets
@@ -768,7 +767,7 @@ class MPShardedAlertTree:
         restore it directly, and :meth:`load` ships it back into
         workers, so checkpoints cross backends in both directions.
         """
-        out = ShardedAlertTree(self.router, fast=self._fast)
+        out = ShardedAlertTree(self.router)
         out.shard_trees = [pickle.loads(b) for b in self.snapshot_trees()]
         out.root_tree = pickle.loads(
             pickle.dumps(self.root_tree, protocol=pickle.HIGHEST_PROTOCOL)
@@ -942,8 +941,8 @@ class MPShardedLocator(ShardedLocator):
     def sweep(self, now: float) -> SweepResult:
         """The :meth:`Locator.sweep` steps, fused at one worker barrier.
 
-        Mirrors the base implementation line for line -- flush (fast
-        path), expire, close-idle, generate -- but ships each shard's
+        Mirrors the base implementation line for line -- flush,
+        expire, close-idle, generate -- but ships each shard's
         pending insert batch, its expiry and its partition request in a
         *single* compound frame via :meth:`MPShardedAlertTree.sweep_all`;
         ``_candidate_groups`` then consumes the partitions gathered at
@@ -951,8 +950,7 @@ class MPShardedLocator(ShardedLocator):
         between the barrier and ``_generate`` is pure incident
         bookkeeping (no tree mutation), so the partitions stay valid.
         """
-        if self._fast:
-            self.flush()  # fills the per-shard outboxes parent-side
+        self.flush()  # fills the per-shard outboxes parent-side
         tree = self.mp_tree
         expired, shard_parts, types_map = tree.sweep_all(
             now, self._config.node_timeout_s

@@ -23,8 +23,6 @@ import enum
 import types
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from .hierarchy import Level, LocationPath
 
 
@@ -157,7 +155,7 @@ class Topology:
         self._devices_by_location: Dict[LocationPath, List[str]] = {}
         self._servers_by_cluster: Dict[LocationPath, List[str]] = {}
         # caches invalidated on mutation (device graph, hop neighbourhoods)
-        self._graph_cache: Optional["nx.Graph"] = None
+        self._graph_cache: Optional[Dict[str, FrozenSet[str]]] = None
         self._hood_cache: Dict[int, Dict[str, FrozenSet[str]]] = {}
         # monotone mutation counter; external memoisers (e.g. the
         # evaluator's circuit-set cache) key on it to stay coherent
@@ -343,16 +341,13 @@ class Topology:
 
     # -- derived structure ---------------------------------------------------
 
-    def device_graph(self) -> "nx.Graph":
-        """Undirected device adjacency graph (for connectivity grouping);
-        cached until the topology mutates."""
+    def device_graph(self) -> Dict[str, FrozenSet[str]]:
+        """Undirected device adjacency, device -> neighbours (for
+        connectivity grouping); cached until the topology mutates."""
         if self._graph_cache is None:
-            graph = nx.Graph()
-            graph.add_nodes_from(self._devices)
-            for cs in self._circuit_sets.values():
-                if INTERNET not in cs.endpoints:
-                    graph.add_edge(cs.device_a, cs.device_b, circuit_set=cs.set_id)
-            self._graph_cache = graph
+            self._graph_cache = {
+                name: frozenset(self.neighbors(name)) for name in self._devices
+            }
         return self._graph_cache
 
     def hop_neighbourhood(self, device_name: str, max_hops: int = 2) -> FrozenSet[str]:
@@ -367,7 +362,7 @@ class Topology:
             for _ in range(max_hops):
                 nxt: Set[str] = set()
                 for node in frontier:
-                    for nbr in graph.neighbors(node):
+                    for nbr in graph[node]:
                         if nbr not in seen:
                             seen.add(nbr)
                             nxt.add(nbr)

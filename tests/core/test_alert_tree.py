@@ -1,11 +1,15 @@
 """Tests for the main alert tree, including hypothesis invariants."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.alert import AlertLevel, AlertTypeKey, StructuredAlert
 from repro.core.alert_tree import AlertTree, record_from
 from repro.topology.hierarchy import LocationPath
+
+from ..reference_oracle import ReferenceAlertTree
 
 
 def alert(loc=("r", "c"), name="link_down", t=0.0, count=1, level=AlertLevel.ROOT_CAUSE,
@@ -57,6 +61,22 @@ class TestInsertAndExpire:
         tree.insert(alert(t=0.0))
         tree.insert(alert(t=250.0))
         assert tree.expire(now=400.0, timeout_s=300.0) == 0
+
+    def test_pickle_written_without_expiry_heap_still_expires(self):
+        """Checkpoints carry no version: a tree pickled while the heap
+        was optional (and off) must get one on load, or nothing in it
+        would ever expire."""
+        walk = ReferenceAlertTree()  # pickles as that legacy AlertTree
+        for i in range(12):
+            walk.insert(alert(loc=("r", f"c{i % 5}"), name=f"t{i % 3}", t=40.0 * i))
+        loaded = pickle.loads(pickle.dumps(walk))
+        assert type(loaded) is AlertTree
+        assert not hasattr(loaded, "_fast")
+        for now in (350.0, 500.0, 640.0, 2000.0):
+            assert loaded.expire(now, 300.0) == walk.expire(now, 300.0)
+            assert loaded.locations() == walk.locations()
+            assert loaded.structure_version == walk.structure_version
+        assert len(loaded) == 0
 
     def test_empty_nodes_removed(self):
         tree = AlertTree()

@@ -1,16 +1,18 @@
 """Hypothesis property tests for AlertTree and the incident thresholds.
 
-Three families of invariants back the flood fast path:
+Three families of invariants back the flood-scale tree and locator:
 
 * **Monotone expiry** -- advancing time only ever removes records, the
   survivor set is exactly ``{r : now <= r.last_seen + timeout}``, and the
-  heap-backed fast tree removes the same records as the reference walk.
+  heap-backed tree removes the same records as the reference walk
+  (``tests/reference_oracle.py``).
 * **Insert-order invariance** -- the tree state after a batch of alerts
   does not depend on the order the batch arrived in (``device`` excluded:
   it is defined as the *first* reporter of a (location, type) record).
 * **Threshold semantics** -- the ``A/B+C/D`` clauses fire iff the counts
   warrant, both at the `IncidentThresholds.triggered` level and end to
-  end through a locator sweep, on the reference and fast paths alike.
+  end through a locator sweep, on the reference and production
+  locators alike.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from repro.core.config import IncidentThresholds, SkyNetConfig
 from repro.core.locator import Locator
 from repro.topology.builder import TopologySpec, build_topology
 from repro.topology.hierarchy import LocationPath
+
+from ..reference_oracle import ReferenceAlertTree, ReferenceLocator
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -97,8 +101,8 @@ def _state(tree: AlertTree, with_device: bool = True) -> Dict:
     timeout=st.floats(min_value=10.0, max_value=600.0),
 )
 def test_expiry_is_monotone_and_exact(batch, times, timeout):
-    reference = AlertTree()
-    fast = AlertTree(fast=True)
+    reference = ReferenceAlertTree()
+    fast = AlertTree()
     for alert in batch:
         reference.insert(alert)
     fast.insert_batch(batch)
@@ -128,8 +132,8 @@ def test_expiry_is_monotone_and_exact(batch, times, timeout):
 def test_refreshed_records_survive_their_old_deadline(batch, refresh_at, timeout):
     """A record re-seen after its entry was heap-pushed must not expire on
     the stale entry's schedule (the lazy-heap re-check)."""
-    fast = AlertTree(fast=True)
-    reference = AlertTree()
+    fast = AlertTree()
+    reference = ReferenceAlertTree()
     fast.insert_batch(batch)
     for alert in batch:
         reference.insert(alert)
@@ -159,8 +163,8 @@ def test_refreshed_records_survive_their_old_deadline(batch, refresh_at, timeout
 def test_tree_state_is_insert_order_invariant(batch, seed):
     shuffled = list(batch)
     seed.shuffle(shuffled)
-    in_order = AlertTree()
-    reordered = AlertTree(fast=True)
+    in_order = ReferenceAlertTree()
+    reordered = AlertTree()
     for alert in batch:
         in_order.insert(alert)
     reordered.insert_batch(shuffled)
@@ -236,9 +240,9 @@ def _typed_alerts(failure_types: int, other_types: int) -> List[StructuredAlert]
 def test_sweep_fires_iff_thresholds_warrant(failure_types, other_types, fast):
     """End to end: a single-location candidate group spawns an incident at
     a 2/1+2/5 sweep exactly when the distinct type counts warrant it."""
-    config = SkyNetConfig(fast_path=fast)
+    config = SkyNetConfig()
     assert config.thresholds.label() == "2/1+2/5"
-    locator = Locator(_TOPO, config)
+    locator = (Locator if fast else ReferenceLocator)(_TOPO, config)
     locator.feed_many(_typed_alerts(failure_types, other_types))
     result = locator.sweep(20.0)
     expected = config.thresholds.triggered(failure_types, other_types)

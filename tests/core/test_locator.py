@@ -189,6 +189,7 @@ class TestIncidentLifecycle:
     def test_followup_alerts_join_open_incident(self, topo, locator):
         incident, dev = self._open_one(topo, locator)
         locator.feed(device_alerts(topo, dev, ["late"], t=30.0)[0])
+        locator.flush()  # feeds are buffered until a sweep or a read
         assert incident.update_time == 30.0
         assert incident.distinct_type_count() == 6
 

@@ -55,7 +55,6 @@ Report = Tuple[str, float, bool, str]
 def _config(shards: int, backend: str):
     return dataclasses.replace(
         PRODUCTION_CONFIG,
-        fast_path=True,
         runtime=dataclasses.replace(
             PRODUCTION_CONFIG.runtime, shards=shards, backend=backend
         ),
@@ -80,10 +79,7 @@ def _merged(raws: Sequence[RawAlert]) -> Tuple[Dict[str, List[RawAlert]], List[R
 def _offline_reference(topo, state: NetworkState, merged: Sequence[RawAlert]) -> List[Report]:
     """The ground truth: an unsharded offline runtime fed the same order."""
     set_incident_counter(1)
-    runtime = RuntimeService(
-        topo, config=dataclasses.replace(PRODUCTION_CONFIG, fast_path=True),
-        state=state,
-    )
+    runtime = RuntimeService(topo, config=PRODUCTION_CONFIG, state=state)
     for raw in merged:
         runtime.ingest(raw)
     runtime.pipeline.finish()

@@ -76,7 +76,6 @@ CHAOS_PARAMS = GatewayParams(
 def _config(shards: int, backend: str):
     return dataclasses.replace(
         PRODUCTION_CONFIG,
-        fast_path=True,
         runtime=dataclasses.replace(
             PRODUCTION_CONFIG.runtime,
             shards=shards,
@@ -91,11 +90,7 @@ def _offline_reference(
 ) -> List[Report]:
     """Ground truth: unsharded, chaos-free, offline."""
     set_incident_counter(1)
-    runtime = RuntimeService(
-        topo,
-        config=dataclasses.replace(PRODUCTION_CONFIG, fast_path=True),
-        state=state,
-    )
+    runtime = RuntimeService(topo, config=PRODUCTION_CONFIG, state=state)
     for raw in merged:
         runtime.ingest(raw)
     runtime.pipeline.finish()

@@ -27,6 +27,7 @@ from repro.simulation.state import NetworkState
 from repro.topology.builder import TopologySpec, build_topology
 from repro.topology.network import Topology
 
+from ..reference_oracle import ReferenceShardedLocator
 from ..test_equivalence_flood import _assert_equal, _device_down, _fingerprint, _stream
 
 
@@ -233,6 +234,42 @@ def test_checkpoints_are_backend_portable(tmp_path, first_backend, second_backen
     )
     assert resumed.recovery is not None
     assert resumed.recovery.corruptions == ()
+    for raw in raws[k:]:
+        resumed.ingest(raw)
+    resumed.finish()
+
+    _assert_equal(expected, _fingerprint(resumed.pipeline))
+    assert _incident_ids(resumed) == expected_ids
+
+
+def test_resume_from_checkpoint_written_without_expiry_heaps(tmp_path):
+    """Checkpoints carry no version.  One written while the tree's expiry
+    heap was optional (and off: the reference locator of
+    ``tests/reference_oracle.py`` pickles exactly that state) must resume
+    into the same incident stream; if the loaded trees kept their empty
+    heaps, nothing in them would expire and the final sweeps would open
+    incidents over stale records."""
+    topo, state, raws = flood_fixture()
+    config = runtime_config()
+    expected, expected_ids = uninterrupted_run(topo, state, raws, config)
+
+    k = int(len(raws) * 0.7)
+    set_incident_counter(1)
+    first = RuntimeService(topo, config=config, state=state, directory=tmp_path)
+    first.pipeline.locator = ReferenceShardedLocator(topo, config)
+    for raw in raws[:k]:
+        first.ingest(raw)
+    assert first.checkpoints is not None
+    found = first.checkpoints.latest()
+    assert found is not None, "cut too early: no checkpoint to resume from"
+    trees = found[1]["pipeline"]["locator"]["main_tree"].shard_trees
+    assert any(len(tree) for tree in trees), "checkpointed trees are empty"
+    del first
+
+    set_incident_counter(1)
+    resumed = RuntimeService.resume(topo, tmp_path, config=config, state=state)
+    assert resumed.recovery is not None
+    assert resumed.recovery.checkpoint_seq is not None
     for raw in raws[k:]:
         resumed.ingest(raw)
     resumed.finish()

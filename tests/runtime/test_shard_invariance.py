@@ -3,19 +3,19 @@ unsharded reference, for every shard count and every execution backend.
 
 This is the contract that lets ``repro.runtime`` shard the alert tree at
 all: the same raw stream is run through the unsharded reference pipeline
-and through the sharded locator at shard counts {1, 2, 4}, on both the
-reference and ``fast_path`` grouping rules, and the complete incident
-output (scopes, times, statuses, contents, severities, renders with ids
-normalised) must match.  Every scenario runs on both backends:
-``inproc`` (:class:`ShardedLocator`, every shard on the caller's thread)
-and ``mp`` (:class:`MPShardedLocator`, each shard in a spawned worker
-process).
+(``tests/reference_oracle.py``) and through the sharded locator at shard
+counts {1, 2, 4}, and the complete incident output (scopes, times,
+statuses, contents, severities, renders with ids normalised) must
+match.  Every scenario runs on both backends: ``inproc``
+(:class:`ShardedLocator`, every shard on the caller's thread -- plus the
+oracle's own sharded locator, reference rules per shard) and ``mp``
+(:class:`MPShardedLocator`, each shard in a spawned worker process).
 
 Two layers of coverage:
 
 * the hard scenarios below (cross-region and dense benchmark-fabric
   floods whose groups genuinely span Region subtrees -- the case naive
-  region sharding gets wrong) run at every (shards, fast, backend)
+  region sharding gets wrong) run at every (shards, rules, backend)
   combination;
 * the *full* flood battery of ``tests/test_equivalence_flood.py`` --
   every registry scenario -- runs through the ``mp`` backend at 1/2/4
@@ -36,7 +36,9 @@ from repro.core.alert import AlertLevel, AlertTypeKey, StructuredAlert
 from repro.core.config import PRODUCTION_CONFIG
 from repro.core.locator import Locator
 from repro.core.pipeline import SkyNet
+from repro.monitors import build_monitors
 from repro.monitors.base import RawAlert
+from repro.monitors.stream import AlertStream
 from repro.runtime.checkpoint import set_incident_counter
 from repro.runtime.sharding import ShardedLocator, ShardRouter, frontier_devices
 from repro.runtime.workers import MPShardedLocator
@@ -45,6 +47,11 @@ from repro.simulation.state import NetworkState
 from repro.topology.builder import TopologySpec, build_topology
 from repro.topology.hierarchy import LocationPath
 
+from ..reference_oracle import (
+    ReferenceLocator,
+    ReferenceShardedLocator,
+    reference_skynet,
+)
 from ..test_equivalence_flood import (
     SCENARIO_IDS,
     SCENARIOS,
@@ -59,24 +66,27 @@ SHARD_COUNTS = (1, 2, 4)
 BACKENDS = ("inproc", "mp")
 
 
-def _sharded_config(shards: int, fast: bool, backend: str = "inproc"):
+def _sharded_config(shards: int, backend: str = "inproc"):
     return dataclasses.replace(
         PRODUCTION_CONFIG,
-        fast_path=fast,
         runtime=dataclasses.replace(
             PRODUCTION_CONFIG.runtime, shards=shards, backend=backend
         ),
     )
 
 
-def _make_locator(topo, config):
+def _make_locator(topo, config, fast: bool = True):
+    """``fast=False`` is the oracle's sharded locator (in-process only:
+    worker processes run production rules)."""
     if config.runtime.backend == "mp":
         return MPShardedLocator(topo, config)
+    if not fast:
+        return ReferenceShardedLocator(topo, config)
     return ShardedLocator(topo, config)
 
 
 def _run_reference(topo, state, raws: List[RawAlert]) -> List[Tuple]:
-    net = SkyNet(topo, config=PRODUCTION_CONFIG, state=state)
+    net = reference_skynet(topo, config=PRODUCTION_CONFIG, state=state)
     net.process(raws)
     return _fingerprint(net)
 
@@ -84,8 +94,8 @@ def _run_reference(topo, state, raws: List[RawAlert]) -> List[Tuple]:
 def _run_sharded(
     topo, state, raws: List[RawAlert], shards: int, fast: bool, backend: str
 ) -> List[Tuple]:
-    config = _sharded_config(shards, fast, backend)
-    locator = _make_locator(topo, config)
+    config = _sharded_config(shards, backend)
+    locator = _make_locator(topo, config, fast)
     try:
         net = SkyNet(topo, config=config, state=state, locator=locator)
         net.process(raws)
@@ -98,7 +108,7 @@ def _run_sharded(
 def _check_all_shard_counts(topo, state, raws: List[RawAlert], backend: str) -> None:
     reference = _run_reference(topo, state, raws)
     for shards in SHARD_COUNTS:
-        for fast in (False, True):
+        for fast in (False, True) if backend == "inproc" else (True,):
             sharded = _run_sharded(topo, state, raws, shards, fast, backend)
             assert len(sharded) == len(reference), (
                 f"backend={backend} shards={shards} fast={fast}: incident "
@@ -108,7 +118,7 @@ def _check_all_shard_counts(topo, state, raws: List[RawAlert], backend: str) -> 
 
 
 # ---------------------------------------------------------------------------
-# hard scenarios: every (shards, fast, backend) combination
+# hard scenarios: every (shards, rules, backend) combination
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -191,11 +201,11 @@ def test_benchmark_fabric_dense_flood_shard_invariance(backend):
 # the full battery through the mp backend, ids included
 #
 # Incident ids come from a global counter; resetting it before each run
-# makes the id sequence part of the contract.  (Reference fast=False and
-# fast=True produce identical ids after a reset -- the fast-path gate in
+# makes the id sequence part of the contract.  (The oracle and unsharded
+# production produce identical ids after a reset -- the reference gate in
 # tests/test_equivalence_flood.py guarantees identical incident *order* --
-# so comparing against the fast reference is comparing against the
-# reference.)
+# so comparing against unsharded production is comparing against the
+# oracle, without paying its quadratic sweep 27 more times.)
 
 
 def _fingerprint_exact(net: SkyNet) -> List[Tuple]:
@@ -230,8 +240,7 @@ def test_full_battery_mp_exact_ids(scenario: FloodScenario):
     topo, state, raws = scenario.build()
 
     set_incident_counter(1)
-    config = dataclasses.replace(PRODUCTION_CONFIG, fast_path=True)
-    reference_net = SkyNet(topo, config=config, state=state)
+    reference_net = SkyNet(topo, config=PRODUCTION_CONFIG, state=state)
     reference_net.process(raws)
     reference = _fingerprint_exact(reference_net)
     if scenario.require_incidents:
@@ -239,7 +248,7 @@ def test_full_battery_mp_exact_ids(scenario: FloodScenario):
 
     for shards in SHARD_COUNTS:
         set_incident_counter(1)
-        mp_config = _sharded_config(shards, fast=True, backend="mp")
+        mp_config = _sharded_config(shards, backend="mp")
         locator = MPShardedLocator(topo, mp_config)
         try:
             net = SkyNet(topo, config=mp_config, state=state, locator=locator)
@@ -255,6 +264,42 @@ def test_full_battery_mp_exact_ids(scenario: FloodScenario):
             assert ref_item == mp_item, f"mp shards={shards}"
 
 
+def test_permanent_wave_storm_exact_ids():
+    """The benchmark of record's ``flood_ingest`` storm (a fifth of the
+    benchmark fabric down for good, cut to 8k raws): same-depth groups
+    open in the same sweep in different regions, so incident ids only
+    agree across shard counts under one total group order."""
+    topo = build_topology(TopologySpec.benchmark())
+    state = NetworkState(topo)
+    rng = random.Random(2025)
+    devices = sorted(topo.devices)
+    rng.shuffle(devices)
+    for name in devices[: len(devices) // 5]:
+        start = 60.0 + rng.uniform(0.0, 240.0)
+        state.add_condition(
+            Condition(
+                kind=ConditionKind.DEVICE_DOWN,
+                target=name,
+                start=start,
+                end=start + 86_400.0,
+            )
+        )
+    monitors = build_monitors(state, seed=2025)
+    raws = list(AlertStream(state, monitors).run(86_400.0, limit=8_000))
+
+    prints = []
+    for shards in (None,) + SHARD_COUNTS:
+        set_incident_counter(1)
+        config = _sharded_config(shards or 1)
+        locator = None if shards is None else ShardedLocator(topo, config)
+        net = SkyNet(topo, config=config, state=state, locator=locator)
+        net.process(raws)
+        prints.append(_fingerprint_exact(net))
+    assert len(prints[0]) >= 10, "storm too quiet to exercise id ties"
+    for shards, sharded in zip(SHARD_COUNTS, prints[1:]):
+        assert sharded == prints[0], f"shards={shards}"
+
+
 # ---------------------------------------------------------------------------
 # incremental API equivalence through mp: feed/feed_many/mid-stream reads
 # (the two interleaving scenarios of the flood battery, through workers)
@@ -267,14 +312,14 @@ def test_incremental_feed_interleavings_mp():
         state.add_condition(cond)
     raws = _stream(topo, state, 420.0, seed=5)
 
-    config = _sharded_config(2, fast=True, backend="mp")
+    config = _sharded_config(2, backend="mp")
     batch_locator = MPShardedLocator(topo, config)
     feed_locator = MPShardedLocator(topo, config)
     try:
         batch_net = SkyNet(topo, config=config, state=state, locator=batch_locator)
         batch_net.process(raws)
 
-        reference = SkyNet(topo, state=state)
+        reference = reference_skynet(topo, state=state)
         net = SkyNet(topo, config=config, state=state, locator=feed_locator)
         for i, raw in enumerate(raws):
             net.feed(raw)
@@ -350,11 +395,12 @@ def test_root_located_alert_merges_all_shards():
 
     prints = []
     for build in (
+        lambda: ReferenceLocator(topo, PRODUCTION_CONFIG),
         lambda: Locator(topo, PRODUCTION_CONFIG),
-        lambda: ShardedLocator(topo, _sharded_config(4, False)),
-        lambda: ShardedLocator(topo, _sharded_config(2, True)),
-        lambda: MPShardedLocator(topo, _sharded_config(4, False, "mp")),
-        lambda: MPShardedLocator(topo, _sharded_config(2, True, "mp")),
+        lambda: ReferenceShardedLocator(topo, _sharded_config(4)),
+        lambda: ShardedLocator(topo, _sharded_config(2)),
+        lambda: MPShardedLocator(topo, _sharded_config(4, "mp")),
+        lambda: MPShardedLocator(topo, _sharded_config(2, "mp")),
     ):
         locator = build()
         try:
@@ -368,6 +414,46 @@ def test_root_located_alert_merges_all_shards():
                 locator.close()
     assert all(p == prints[0] for p in prints[1:])
     assert any("<root>" in p for p in prints[0])
+
+
+def test_incident_ids_do_not_depend_on_shard_count():
+    """Two same-depth groups in different regions, fed later-region
+    first, open in one sweep: insertion order and shard order disagree
+    about which comes first, :func:`widest_first` does not."""
+    topo = build_topology(TopologySpec())
+    regions = sorted({d.location.segments[0] for d in topo.devices.values()})
+    feeds = []
+    t = 10.0
+    for region in reversed(regions[:2]):
+        dev = max(
+            (
+                d for d in sorted(topo.devices)
+                if topo.device(d).location.segments[0] == region
+            ),
+            key=lambda d: len(topo.device(d).location.segments),
+        )
+        loc = topo.device(dev).location
+        for name in ("loss", "err"):
+            feeds.append(_alert("ping", name, loc, t, device=dev))
+            t += 1.0
+    assert len(feeds) == 4
+    assert len({len(alert.location.segments) for alert in feeds}) == 1
+
+    opened = []
+    for build in (
+        lambda: Locator(topo, PRODUCTION_CONFIG),
+        lambda: ShardedLocator(topo, _sharded_config(1)),
+        lambda: ShardedLocator(topo, _sharded_config(2)),
+        lambda: ShardedLocator(topo, _sharded_config(4)),
+    ):
+        set_incident_counter(1)
+        locator = build()
+        locator.feed_many(feeds)
+        opened.append(
+            [(i.incident_id, str(i.root)) for i in locator.sweep(20.0).opened]
+        )
+    assert len(opened[0]) == 2
+    assert all(ids == opened[0] for ids in opened[1:]), opened
 
 
 def test_router_is_deterministic_and_balanced():

@@ -30,10 +30,9 @@ from repro.topology.builder import TopologySpec, build_topology
 SHARDS = 2
 
 
-def _config(fast: bool = False):
+def _config():
     return dataclasses.replace(
         PRODUCTION_CONFIG,
-        fast_path=fast,
         runtime=dataclasses.replace(
             PRODUCTION_CONFIG.runtime, shards=SHARDS, backend="mp"
         ),
@@ -173,7 +172,7 @@ def test_supervised_tree_heals_sigkilled_worker_exactly(topo):
 
 def test_parent_mirrors_track_worker_state(topo):
     tree = _mp_tree(topo)
-    reference = ShardedAlertTree(ShardRouter(topo, SHARDS), fast=False)
+    reference = ShardedAlertTree(ShardRouter(topo, SHARDS))
     try:
         alerts = _alerts(topo, 12)
         for alert in alerts:

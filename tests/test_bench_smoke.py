@@ -4,9 +4,10 @@ Each ``benchmarks/bench_*.py`` is executed end to end in a subprocess
 with ``SKYNET_BENCH_TINY=1`` (see benchmarks/conftest.py): campaigns run
 on the small default fabric with capped sizes, figure-shaped assertions
 are relaxed, and everything structural stays checked.  This is what keeps
-the benches importable and runnable at all times -- CI's bench-smoke job
-relies on it, and a bench that only works at full evaluation scale cannot
-hide a bitrotted code path behind a multi-hour runtime.
+the benches importable and runnable at all times -- CI's per-subsystem
+smoke jobs run theirs in the same mode, and a bench that only works at
+full evaluation scale cannot hide a bitrotted code path behind a
+multi-hour runtime.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
-"""Differential suite: the ``fast_path`` locator/evaluator must be
+"""Differential suite: the production locator/evaluator must be
 behaviourally identical to the reference implementation.
 
 Every scenario here is run twice over the *same* raw alert stream -- once
-with the reference pipeline and once with ``config.fast_path=True`` --
-and the complete incident output is compared: incident set, scopes,
-open/close times, status, alert contents and severity scores.  Incident
+with the straight-from-the-paper pipeline of ``tests/reference_oracle.py``
+and once with the production one -- and the complete incident output is
+compared: incident set, scopes, open/close times, status, alert contents
+and severity scores.  Incident
 ids come from a global counter and legitimately differ between runs, so
 renders are compared with ids normalised; every other byte must match.
 
@@ -13,8 +14,8 @@ sharding and multiprocess invariance suites under ``tests/runtime`` can
 replay the *same* floods through their backends instead of copying the
 definitions (see ``tests/runtime/test_shard_invariance.py``).
 
-This is the gate that lets the fast path exist at all (see
-``core/locator.py``): any optimisation that changes output fails here.
+This is the gate that lets ``core/locator.py`` batch, index and memoise
+at all: any optimisation that changes output fails here.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import pytest
 
-from repro.core.config import PRODUCTION_CONFIG, SkyNetConfig
+from repro.core.config import PRODUCTION_CONFIG
 from repro.core.pipeline import SkyNet
 from repro.monitors import build_monitors
 from repro.monitors.base import RawAlert
@@ -39,6 +40,8 @@ from repro.simulation.state import NetworkState
 from repro.topology.builder import TopologySpec, build_topology
 from repro.topology.hierarchy import Level
 from repro.topology.network import Topology
+
+from .reference_oracle import reference_skynet
 
 # ---------------------------------------------------------------------------
 # harness
@@ -104,7 +107,7 @@ def _device_down(
 #
 # Each entry is a self-contained flood: building it yields a topology, the
 # network state that produced the stream, and the raw alert stream itself.
-# Both the fast-path gate below and the runtime invariance suites iterate
+# Both the reference gate below and the runtime invariance suites iterate
 # this registry, so adding a scenario here widens every differential gate
 # at once.
 
@@ -334,16 +337,15 @@ assert len(SCENARIOS) == len(set(SCENARIO_IDS)), "scenario names must be unique"
 
 
 # ---------------------------------------------------------------------------
-# the fast-path gate: every registry scenario, reference vs fast_path
+# the reference gate: every registry scenario, oracle vs production
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=SCENARIO_IDS)
 def test_fast_path_equivalence(scenario: FloodScenario):
     topo, state, raws = scenario.build()
     prints = []
-    for fast in (False, True):
-        config = dataclasses.replace(PRODUCTION_CONFIG, fast_path=fast)
-        net = SkyNet(topo, config=config, state=state)
+    for build in (reference_skynet, SkyNet):
+        net = build(topo, config=PRODUCTION_CONFIG, state=state)
         net.process(raws)
         prints.append(_fingerprint(net))
     reference, fast_fp = prints
@@ -367,7 +369,7 @@ def test_feed_many_matches_feed():
         state.add_condition(cond)
     raws = _stream(topo, state, 420.0, seed=3)
 
-    config = dataclasses.replace(PRODUCTION_CONFIG, fast_path=True)
+    config = PRODUCTION_CONFIG
     one = SkyNet(topo, config=config, state=state)
     for raw in raws:
         one.feed(raw)
@@ -399,9 +401,8 @@ def test_mid_stream_reads_see_flushed_state():
     for cond in _device_down(sorted(topo.devices)[:6], 40.0, 300.0):
         state.add_condition(cond)
     raws = _stream(topo, state, 420.0, seed=5)
-    config = dataclasses.replace(PRODUCTION_CONFIG, fast_path=True)
-    net = SkyNet(topo, config=config, state=state)
-    reference = SkyNet(topo, state=state)
+    net = SkyNet(topo, state=state)
+    reference = reference_skynet(topo, state=state)
     for i, raw in enumerate(raws):
         net.feed(raw)
         reference.feed(raw)
