@@ -498,7 +498,12 @@ class GatewayService:
         op = request.get("op")
         try:
             if op == "submit":
-                raw = raw_from_json(request["raw"])  # type: ignore[arg-type]
+                try:
+                    # the journal's own strict decoder: a frame replay
+                    # would reject is refused here, never journaled
+                    raw = raw_from_json(request["raw"])
+                except (TypeError, ValueError) as exc:
+                    raise GatewayError(f"malformed raw alert: {exc}") from exc
                 source = request.get("source")
                 seq = request.get("seq")
                 return self.submit(

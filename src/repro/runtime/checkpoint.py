@@ -38,6 +38,26 @@ if TYPE_CHECKING:
 CHECKPOINT_PREFIX = "checkpoint-"
 CHECKPOINT_SUFFIX = ".pkl"
 
+#: What ``pickle.load`` raises on a damaged file: truncation (EOF), bad
+#: opcodes, a garbled protocol byte or literal (``ValueError``, incl.
+#: undecodable strings), a garbled class reference (``ImportError``,
+#: ``AttributeError``), opcodes applied to the wrong object (``TypeError``,
+#: ``KeyError``, ``IndexError``) and garbled length prefixes
+#: (``OverflowError``, ``MemoryError``).
+DAMAGED_PICKLE_ERRORS = (
+    OSError,
+    EOFError,
+    pickle.UnpicklingError,
+    ValueError,
+    ImportError,
+    AttributeError,
+    TypeError,
+    KeyError,
+    IndexError,
+    OverflowError,
+    MemoryError,
+)
+
 
 def pipeline_state_dict(net: SkyNet) -> Dict[str, object]:
     """All mutable pipeline state, as one picklable dict."""
@@ -114,8 +134,11 @@ class CheckpointStore:
     ``save`` writes to a temporary file and renames into place, so a
     crash mid-write never produces a half checkpoint under the real
     name; ``latest`` walks candidates newest-first and skips any that
-    fail to unpickle, so a corrupted newest checkpoint degrades to the
-    previous one instead of aborting recovery.
+    fail to unpickle (:data:`DAMAGED_PICKLE_ERRORS`), so a corrupted
+    newest checkpoint degrades to the previous one instead of aborting
+    recovery.  Damage that still unpickles -- a garbled value, or a
+    renamed key or attribute deep in the snapshot -- is invisible here:
+    the format carries no checksum.
     """
 
     def __init__(self, directory: pathlib.Path, keep: int = 2) -> None:
@@ -124,6 +147,9 @@ class CheckpointStore:
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.keep = keep
+        #: checkpoints the most recent :meth:`latest` skipped as
+        #: unloadable, newest first, each as ``"<name> (<error type>)"``
+        self.unloadable: List[str] = []
 
     def _path_for(self, seq: int) -> pathlib.Path:
         return self.directory / f"{CHECKPOINT_PREFIX}{seq:010d}{CHECKPOINT_SUFFIX}"
@@ -164,13 +190,22 @@ class CheckpointStore:
                 continue
 
     def latest(self) -> Optional[Tuple[int, Dict[str, object]]]:
-        """Newest loadable checkpoint as ``(seq, state)``, or ``None``."""
+        """Newest loadable checkpoint as ``(seq, state)``, or ``None``.
+
+        Every newer checkpoint it skips is named in :attr:`unloadable`
+        with the error that rejected it, so a fallback -- whether from
+        disk damage or from a bug in some ``__setstate__`` -- is visible
+        in the recovery report rather than only as a longer replay.
+        """
+        self.unloadable = []
         for info in reversed(self.list()):
             try:
                 with open(info.path, "rb") as handle:
                     state = pickle.load(handle)
-            except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+            except DAMAGED_PICKLE_ERRORS as exc:
+                self.unloadable.append(f"{info.path.name} ({type(exc).__name__})")
                 continue
             if isinstance(state, dict):
                 return info.seq, state
+            self.unloadable.append(f"{info.path.name} (not a dict)")
         return None

@@ -10,19 +10,38 @@ for identically the second time around.
 Segments rotate every ``segment_records`` lines and are strictly
 append-only; a resuming journal always opens a fresh segment rather than
 appending after a possibly torn tail.  Corruption handling is explicit:
-a truncated or garbled trailing record stops replay at the last valid
-line and surfaces a :class:`JournalCorruption` report (segment, line,
-reason, records discarded) instead of crashing -- the §4 requirement
-that a flood-scale service degrades loudly, never silently.
+a truncated, garbled, undecodable or wrongly typed record stops replay
+at the last valid line and surfaces a :class:`JournalCorruption` report
+(segment, line, reason, records discarded) instead of crashing -- the §4
+requirement that a flood-scale service degrades loudly, never silently.
+
+**Lineage.**  Sequence numbers are contiguous within one process life.
+A resume that stopped at a defect resumes numbering at the next expected
+seq, in the fresh segment it opens, so the records written after the
+defect by the crashed life are superseded by that segment.  Replay
+follows this lineage: at a defect it continues at the *oldest* later
+segment whose first record is exactly the next expected seq (the segment
+the recovering resume wrote), and stops only when no such segment
+exists -- a defect no resume has recovered from yet.  Every defect in
+the range read is reported, continued or terminal, so a resume from a
+pre-defect checkpoint re-derives the same corruption count as the
+resume that first met it.
+
+**Cost.**  Replay reads one line of every segment to learn its first
+seq, then starts at the newest segment whose first record parses with a
+seq at or below the checkpoint's position (the first segment if none
+does) -- segments wholly behind the checkpoint are never decoded, so
+recovery costs O(segments + tail), not O(history).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import pathlib
-from typing import Dict, Iterator, List, Optional, TextIO, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, TextIO, Tuple, Union
 
 from ..monitors.base import RawAlert
 from ..topology.hierarchy import LocationPath
@@ -39,12 +58,21 @@ class JournalCorruption:
     line_number: int  # 1-based line within the segment
     reason: str
     discarded_records: int  # valid-looking lines skipped after the defect
+    #: segment replay continued at because an earlier resume already
+    #: recovered from this defect; ``None`` = replay stopped here
+    continued_at: Optional[str] = None
 
     def render(self) -> str:
+        where = f"journal corruption in {self.segment}:{self.line_number}"
+        if self.continued_at is not None:
+            return (
+                f"{where}: {self.reason} (recovered by an earlier resume; "
+                f"{self.discarded_records} superseded record(s) skipped, "
+                f"replay continued at {self.continued_at})"
+            )
         return (
-            f"journal corruption in {self.segment}:{self.line_number}: "
-            f"{self.reason} ({self.discarded_records} later record(s) "
-            f"discarded; resuming from last valid state)"
+            f"{where}: {self.reason} ({self.discarded_records} later "
+            f"record(s) discarded; resuming from last valid state)"
         )
 
 
@@ -84,25 +112,84 @@ def raw_to_json(raw: RawAlert) -> Dict[str, object]:
     return out
 
 
-def raw_from_json(data: Dict[str, object]) -> RawAlert:
+def raw_from_json(data: object) -> RawAlert:
+    """Decode the :func:`raw_to_json` form -- strictly.
+
+    The one decoder for journal lines and gateway ``submit`` frames
+    alike, so the gateway journals exactly what replay will accept.  A
+    field of any type ``raw_to_json`` never writes is rejected, not
+    coerced: ``KeyError`` for a missing field, ``TypeError`` /
+    ``ValueError`` for a wrongly typed one (``true`` is not a number).
+    """
+    if not isinstance(data, dict):
+        raise _wrong("raw", data, "an object")
     location = None
-    loc_data = data.get("location")
-    if isinstance(loc_data, dict):
-        location = LocationPath(
-            tuple(loc_data["segments"]), bool(loc_data["is_device"])
-        )
-    endpoints = data.get("endpoints")
+    loc = data.get("location")
+    if loc is not None:
+        if not isinstance(loc, dict):
+            raise _wrong("location", loc, "an object")
+        is_device = loc["is_device"]
+        if not isinstance(is_device, bool):
+            raise _wrong("is_device", is_device, "a boolean")
+        location = LocationPath(_strings(loc, "segments"), is_device)
+    endpoints = None
+    if data.get("endpoints") is not None:
+        pair = _strings(data, "endpoints")
+        if len(pair) != 2:
+            raise ValueError("'endpoints' must name exactly two servers")
+        endpoints = (pair[0], pair[1])
+    metrics = data.get("metrics", {})
+    if not isinstance(metrics, dict) or not all(
+        _is_number(v) for v in metrics.values()
+    ):
+        raise _wrong("metrics", metrics, "an object of numbers")
+    device = data.get("device")
+    if device is not None and not isinstance(device, str):
+        raise _wrong("device", device, "a string")
     return RawAlert(
-        tool=str(data["tool"]),
-        raw_type=str(data["raw_type"]),
-        timestamp=float(data["timestamp"]),  # type: ignore[arg-type]
-        message=str(data.get("message", "")),
-        device=data.get("device"),  # type: ignore[arg-type]
-        endpoints=tuple(endpoints) if endpoints is not None else None,  # type: ignore[arg-type]
+        tool=_string(data, "tool"),
+        raw_type=_string(data, "raw_type"),
+        timestamp=_time(data, "timestamp"),
+        message=_string(data, "message") if "message" in data else "",
+        device=device,
+        endpoints=endpoints,
         location_hint=location,
-        metrics=dict(data.get("metrics", {})),  # type: ignore[arg-type]
-        delivered_at=float(data["delivered_at"]),  # type: ignore[arg-type]
+        metrics=dict(metrics),
+        delivered_at=_time(data, "delivered_at"),
     )
+
+
+def _wrong(key: str, value: object, want: str) -> TypeError:
+    return TypeError(f"{key!r} is {type(value).__name__}, want {want}")
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _string(data: Mapping[str, object], key: str) -> str:
+    value = data[key]
+    if not isinstance(value, str):
+        raise _wrong(key, value, "a string")
+    return value
+
+
+def _strings(data: Mapping[str, object], key: str) -> Tuple[str, ...]:
+    value = data[key]
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise _wrong(key, value, "a list of strings")
+    return tuple(value)
+
+
+def _time(data: Mapping[str, object], key: str) -> float:
+    value = data[key]
+    if (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    ):
+        return float(value)
+    raise _wrong(key, value, "a finite number")
 
 
 class AlertJournal:
@@ -124,6 +211,10 @@ class AlertJournal:
         self._current_lines = 0
         #: corruption reports collected by the most recent :meth:`replay`
         self.corruptions: List[JournalCorruption] = []
+        #: segments that replay never decoded (wholly behind its start)
+        self.skipped_segments = 0
+        #: valid records the most recent replay decoded, replayed or not
+        self.read_records = 0
 
     # -- writing -----------------------------------------------------------
 
@@ -195,8 +286,7 @@ class AlertJournal:
     def _segment_max_seq(self, path: pathlib.Path) -> Optional[int]:
         """Highest seq in a fully-parseable segment, else ``None``."""
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
+            lines = _read_lines(path)
         except OSError:
             return None
         highest: Optional[int] = None
@@ -228,42 +318,90 @@ class AlertJournal:
                 continue
         return highest
 
-    def replay(self, after_seq: int = -1) -> Iterator[JournalEntry]:
-        """Yield journal entries with ``seq > after_seq``, in order.
+    def _first_seq(self, path: pathlib.Path) -> Optional[int]:
+        """Seq of a segment's first record, ``None`` if it does not parse."""
+        with open(path, "rb") as handle:
+            entry, _ = self._parse_line(handle.readline())
+        return None if entry is None else entry.seq
 
-        Stops -- and records a :class:`JournalCorruption` -- at the first
-        unparseable line.  Everything after a defect is discarded: entries
-        are causally ordered, so replaying past a hole could interleave
-        alerts out of sequence and silently diverge from the original run.
+    def replay(self, after_seq: int = -1) -> Iterator[JournalEntry]:
+        """Yield the journal's lineage past ``after_seq``, in seq order.
+
+        Starts at the newest segment whose first record has a seq at or
+        below ``after_seq + 1`` (else the first segment).  At a defect --
+        recorded as a :class:`JournalCorruption` -- it continues at the
+        oldest later segment whose first record is exactly the next
+        expected seq, the one the resume that recovered from the defect
+        opened.  Without one, everything after the defect is discarded
+        and replay stops: entries are causally ordered, so replaying past
+        a hole could interleave alerts out of sequence and silently
+        diverge from the original run.  ``skipped_segments`` and
+        ``read_records`` describe the read afterwards.
         """
         self.corruptions = []
+        self.read_records = 0
         segments = self.segments()
-        for seg_index, path in enumerate(segments):
-            with open(path, "r", encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
+        firsts = [self._first_seq(path) for path in segments]
+        starts = [
+            i
+            for i, first in enumerate(firsts)
+            if first is not None and first <= after_seq + 1
+        ]
+        index = starts[-1] if starts else 0
+        self.skipped_segments = index
+        # the seq a resume stopping here would hand out next
+        next_seq = after_seq + 1
+        while index < len(segments):
+            path = segments[index]
+            lines = _read_lines(path)
+            index += 1
             for line_index, line in enumerate(lines):
                 entry, reason = self._parse_line(line)
                 if entry is None:
-                    discarded = len(lines) - line_index - 1
-                    for later in segments[seg_index + 1 :]:
-                        with open(later, "r", encoding="utf-8") as handle:
-                            discarded += sum(
-                                1 for _ in handle
-                            )
+                    # the segment a resume that stopped here opened, if any
+                    successor = next(
+                        (
+                            i
+                            for i in range(index, len(segments))
+                            if firsts[i] == next_seq
+                        ),
+                        None,
+                    )
+                    discarded = len(lines) - line_index - 1 + sum(
+                        len(_read_lines(p)) for p in segments[index:successor]
+                    )
                     self.corruptions.append(
                         JournalCorruption(
-                            segment=path.name,
-                            line_number=line_index + 1,
-                            reason=reason,
-                            discarded_records=discarded,
+                            path.name,
+                            line_index + 1,
+                            reason,
+                            discarded,
+                            continued_at=(
+                                None
+                                if successor is None
+                                else segments[successor].name
+                            ),
                         )
                     )
-                    return
+                    if successor is None:
+                        return
+                    index = successor
+                    break
+                self.read_records += 1
+                next_seq = max(next_seq, entry.seq + 1)
                 if entry.seq > after_seq:
                     yield entry
 
     @staticmethod
-    def _parse_line(line: str) -> Tuple[Optional[JournalEntry], str]:
+    def _parse_line(
+        line: Union[str, bytes],
+    ) -> Tuple[Optional[JournalEntry], str]:
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                reason = f"{exc.reason} at byte {exc.start}"
+                return None, f"undecodable record ({reason})"
         stripped = line.strip()
         if not stripped:
             return None, "blank record"
@@ -274,14 +412,28 @@ class AlertJournal:
         if not isinstance(data, dict):
             return None, "record is not an object"
         try:
+            seq, admitted, rung = data["seq"], data["admitted"], data.get("rung")
+            if not isinstance(seq, int) or isinstance(seq, bool):
+                raise _wrong("seq", seq, "an integer")
+            if not isinstance(admitted, bool):
+                raise _wrong("admitted", admitted, "a boolean")
+            if rung is not None and not isinstance(rung, str):
+                raise _wrong("rung", rung, "a string")
             return (
                 JournalEntry(
-                    seq=int(data["seq"]),
-                    admitted=bool(data["admitted"]),
-                    rung=data.get("rung"),
+                    seq=seq,
+                    admitted=admitted,
+                    rung=rung,
                     raw=raw_from_json(data["raw"]),
                 ),
                 "",
             )
         except (KeyError, TypeError, ValueError) as exc:
             return None, f"malformed record ({exc!r})"
+
+
+def _read_lines(path: pathlib.Path) -> List[bytes]:
+    """A segment's lines as bytes: each is decoded on its own, so one bad
+    byte is one defective record, not an unreadable segment."""
+    with open(path, "rb") as handle:
+        return handle.read().splitlines()

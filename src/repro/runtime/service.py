@@ -77,6 +77,10 @@ class RecoveryReport:
     checkpoint_seq: Optional[int]  # None = no checkpoint, full journal replay
     replayed_records: int
     corruptions: Tuple[JournalCorruption, ...]
+    skipped_segments: int = 0  # journal segments older than replay's start
+    read_records: int = 0  # journal records decoded, replayed or not
+    #: newer checkpoints skipped as unloadable ("<name> (<error type>)")
+    unloadable_checkpoints: Tuple[str, ...] = ()
 
     def render(self) -> str:
         base = (
@@ -84,7 +88,15 @@ class RecoveryReport:
             if self.checkpoint_seq is not None
             else "no checkpoint found; replaying full journal"
         )
-        lines = [f"{base}; replayed {self.replayed_records} journal record(s)"]
+        lines = [
+            f"{base}; replayed {self.replayed_records} journal record(s) "
+            f"of {self.read_records} read; {self.skipped_segments} older "
+            "segment(s) skipped unread"
+        ]
+        lines.extend(
+            f"checkpoint {name} unloadable; fell back past it"
+            for name in self.unloadable_checkpoints
+        )
         lines.extend(c.render() for c in self.corruptions)
         return "\n".join(lines)
 
@@ -545,9 +557,10 @@ class RuntimeService:
         if not self._io_attempt("journal_read", now, _scan):
             return {}
         last_seq = entries[-1].seq if entries else after_seq
-        if reader.corruptions or last_seq != limit:
+        if last_seq != limit:
             # the journal cannot reach the live frontier: a rebuild from
-            # it would be silently stale, so admit the loss instead
+            # it would be silently stale, so admit the loss instead (a
+            # defect replay continued past does not stop it short)
             return {}
         live_next_id = _next_incident_id(self.pipeline.locator)
         try:
@@ -682,9 +695,12 @@ class RuntimeService:
 
         Loads the newest loadable checkpoint (if any), replays the
         journal tail through the same code paths the live run used, and
-        returns a service ready to ingest new alerts.  Journal corruption
-        stops the replay at the last valid record and is surfaced in
-        ``service.recovery`` -- recovery proceeds, it does not crash.
+        returns a service ready to ingest new alerts.  Replay reads only
+        the segments from the checkpoint's onwards.  Journal corruption
+        stops the replay at the last valid record -- unless an earlier
+        resume already recovered from it, in which case replay follows
+        that resume's segment (see ``journal.py``) -- and is surfaced in
+        ``service.recovery``; recovery proceeds, it does not crash.
 
         ``extras_hook`` receives the checkpoint's ``extras`` payload (see
         ``checkpoint_extras``) *between* the snapshot restore and the
@@ -758,12 +774,20 @@ class RuntimeService:
             checkpoint_seq=checkpoint_seq,
             replayed_records=replayed,
             corruptions=tuple(service.journal.corruptions),
+            skipped_segments=service.journal.skipped_segments,
+            read_records=service.journal.read_records,
+            unloadable_checkpoints=tuple(service.checkpoints.unloadable),
         )
         for corruption in service.recovery.corruptions:
             service.metrics.counter(
                 "runtime_journal_corruptions_total",
                 "journal defects detected during recovery",
             ).inc()
+        if service.recovery.unloadable_checkpoints:
+            service.metrics.counter(
+                "runtime_checkpoint_fallbacks_total",
+                "unloadable checkpoints recovery skipped for an older one",
+            ).inc(len(service.recovery.unloadable_checkpoints))
         return service
 
     def _rebind_metrics(self, metrics: MetricsRegistry) -> None:

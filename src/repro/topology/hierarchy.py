@@ -18,7 +18,7 @@ sets; the locator's alert tree is indexed entirely by them.
 from __future__ import annotations
 
 import enum
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 
 class Level(enum.IntEnum):
@@ -210,6 +210,15 @@ class LocationPath:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __setstate__(self, state: Tuple[None, Dict[str, Any]]) -> None:
+        # a pickle carries the writing process's cached hash, but str hashes
+        # are salted per process: a checkpoint resumed elsewhere must
+        # rehash, or its paths miss the equal keys the new process builds
+        slots = state[1]
+        self._segments = slots["_segments"]
+        self._is_device = slots["_is_device"]
+        self._hash = hash((self._segments, self._is_device))
 
     def __lt__(self, other: "LocationPath") -> bool:
         if not isinstance(other, LocationPath):

@@ -117,6 +117,45 @@ def test_resume_requires_a_directory():
         GatewayService(topo, resume=True)
 
 
+def test_ill_typed_frame_is_refused_and_never_poisons_the_journal(
+    tmp_path: pathlib.Path,
+):
+    from repro.gateway.sources import SOURCE_PRIORITY
+    from repro.monitors.base import RawAlert
+    from repro.runtime.journal import raw_to_json
+
+    def frame(t: float) -> dict:
+        raw = RawAlert(tool="ping", raw_type="loss", timestamp=t, metrics={"x": 1.0})
+        return {"op": "submit", "raw": raw_to_json(raw)}
+
+    topo = build_topology(TopologySpec.tiny())
+    run_dir = tmp_path / "run"
+    set_incident_counter(1)
+    first = GatewayService(topo, directory=run_dir, params=PARAMS)
+    for tool in sorted(SOURCE_PRIORITY):
+        if tool != "ping":
+            first.eof(tool)
+    for t in (1.0, 2.0, 3.0):
+        assert first.handle(frame(t))["ok"]
+    bad = frame(4.0)
+    bad["raw"]["metrics"] = {"x": True}  # type: ignore[index]
+    reply = first.handle(bad)
+    assert reply["ok"] is False and "malformed raw alert" in reply["error"]
+    for t in (4.0, 5.0, 6.0):
+        assert first.handle(frame(t))["ok"]
+    first.eof("ping")  # release the held frontier alert into the journal
+    assert first.runtime.admission.offered == 6
+    del first  # killed: no drain, no final checkpoint
+
+    resumed = GatewayService.resume(topo, run_dir, params=PARAMS)
+    try:
+        assert resumed.runtime.recovery is not None
+        assert resumed.runtime.recovery.corruptions == ()
+        assert resumed.runtime.admission.offered == 6
+    finally:
+        resumed.shutdown()
+
+
 # ---------------------------------------------------------------------------
 # the real thing: SIGTERM against a served process, then resume
 

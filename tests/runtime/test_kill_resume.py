@@ -14,7 +14,13 @@ final state against the uninterrupted run.
 from __future__ import annotations
 
 import dataclasses
+import os
+import pathlib
 import random
+import signal
+import subprocess
+import sys
+import time
 from typing import List, Tuple
 
 import pytest
@@ -238,6 +244,76 @@ def test_checkpoints_are_backend_portable(tmp_path, first_backend, second_backen
         resumed.ingest(raw)
     resumed.finish()
 
+    _assert_equal(expected, _fingerprint(resumed.pipeline))
+    assert _incident_ids(resumed) == expected_ids
+
+
+#: the child of the SIGKILL test: ingest the flood fixture into the run
+#: directory at a pace the parent can interrupt, then wait to be killed
+_INGEST_CHILD = """
+import sys, time
+from tests.runtime.test_kill_resume import flood_fixture, runtime_config
+from repro.runtime import RuntimeService
+topo, state, raws = flood_fixture()
+service = RuntimeService(
+    topo, config=runtime_config(checkpoint_every=45.0), state=state,
+    directory=sys.argv[1],
+)
+for raw in raws:
+    service.ingest(raw)
+    time.sleep(0.002)
+time.sleep(600)
+"""
+
+
+@pytest.mark.slow
+def test_sigkill_mid_flood_then_resume(tmp_path):
+    """A real process death: no ``del``, no interpreter teardown, no file
+    closed -- the kernel stops the writer wherever it is, possibly
+    mid-record.  Re-offering ``raws[admission.offered:]`` to the resumed
+    service must land on the uninterrupted run, ids included."""
+    topo, state, raws = flood_fixture()
+    config = runtime_config(checkpoint_every=45.0)
+    expected, expected_ids = uninterrupted_run(topo, state, raws, config)
+
+    root = pathlib.Path(__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    child = subprocess.Popen(
+        [sys.executable, "-c", _INGEST_CHILD, str(tmp_path)],
+        cwd=root,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    try:
+        deadline = time.monotonic() + 120.0
+        while len(list(tmp_path.glob("checkpoints/checkpoint-*.pkl"))) < 2:
+            if child.poll() is not None:
+                raise AssertionError(f"child exited early:\n{child.stdout.read()}")
+            assert time.monotonic() < deadline, "no second checkpoint in 120 s"
+            time.sleep(0.01)
+        child.send_signal(signal.SIGKILL)
+        child.wait(timeout=30)
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait(timeout=30)
+        child.stdout.close()
+
+    set_incident_counter(1)
+    resumed = RuntimeService.resume(topo, tmp_path, config=config, state=state)
+    assert resumed.recovery is not None
+    assert resumed.recovery.checkpoint_seq is not None
+    offered = resumed.admission.offered
+    assert 0 < offered < len(raws), "the kill did not land mid-flood"
+    for raw in raws[offered:]:
+        resumed.ingest(raw)
+    resumed.finish()
     _assert_equal(expected, _fingerprint(resumed.pipeline))
     assert _incident_ids(resumed) == expected_ids
 

@@ -1,5 +1,7 @@
 """Unit tests for the location hierarchy (LocationPath and Level)."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -183,6 +185,17 @@ class TestDunder:
 
     def test_repr_mentions_kind(self):
         assert "device" in repr(path("r", "d", device=True))
+
+    def test_unpickled_path_rehashes_in_the_reading_process(self):
+        """A checkpoint pickles each path with its cached hash, but str
+        hashes are salted per process: a resume in a new process must
+        rehash or its restored paths miss the equal keys it builds."""
+        written = path("r", "c", "d", device=True)
+        written._hash ^= 1  # as cached under another process's salt
+        restored = pickle.loads(pickle.dumps(written))
+        fresh = path("r", "c", "d", device=True)
+        assert hash(restored) == hash(fresh)
+        assert {restored: "found"}[fresh] == "found"
 
 
 # -- property-based ---------------------------------------------------------
