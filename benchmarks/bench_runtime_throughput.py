@@ -23,7 +23,7 @@ fault-isolation unit, not a throughput lever.
 Environment knobs:
 
 * ``SKYNET_BENCH_TIERS`` -- comma list of tiers (``1k,10k,50k`` or
-  ``all``; default ``1k,10k``).  CI's runtime-smoke job runs ``1k``.
+  ``all``; default ``1k,10k``).
 * ``SKYNET_BENCH_TINY`` -- miniature tier on the tiny topology for
   tests/test_bench_smoke.py.
 """
@@ -159,10 +159,17 @@ def test_runtime_throughput(emit):
     topo = _topology()
     seed = 2025
     cpu_count = os.cpu_count() or 1
+    load = [round(x, 2) for x in os.getloadavg()]
+    emit(
+        "runtime_throughput",
+        f"host: {cpu_count} cores, load average {load[0]} / {load[1]} / "
+        f"{load[2]} (1 / 5 / 15 min) at start",
+    )
     report: Dict = {
         "bench": "runtime_throughput",
         "seed": seed,
         "cpu_count": cpu_count,
+        "load_average_at_start": load,
         "topology": topo.stats(),
         "shard_counts": list(SHARD_COUNTS),
         "backends": list(BACKENDS),

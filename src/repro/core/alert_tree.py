@@ -11,10 +11,13 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import itertools
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..topology.hierarchy import LocationPath
 from .alert import AlertLevel, AlertTypeKey, StructuredAlert
+
+#: A connectivity partition of alerting locations (the locator's rules).
+Partitioner = Callable[[List[LocationPath]], List[List[LocationPath]]]
 
 
 @dataclasses.dataclass
@@ -74,6 +77,8 @@ class AlertTree:
     :attr:`structure_version` changes whenever the *set of live
     locations* changes (node created or dropped), and
     :meth:`consume_dirty` drains the locations touched since last asked.
+    The connectivity partition of the live locations is memoised on the
+    former (:meth:`partition`).
     """
 
     def __init__(self) -> None:
@@ -84,6 +89,14 @@ class AlertTree:
         # lazy expiry heap: (last_seen at push time, tiebreak, location, type)
         self._expiry_heap: List[Tuple[float, int, LocationPath, AlertTypeKey]] = []
         self._heap_seq = itertools.count()
+        #: (structure_version, components) of the last :meth:`partition`
+        self.partition_memo: Optional[Tuple[int, List[List[LocationPath]]]] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        # the partition memo is derived state: checkpoints stay as before
+        state = dict(self.__dict__)
+        state.pop("partition_memo", None)
+        return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         """Checkpoints pickle live trees and carry no version.  A tree
@@ -91,6 +104,7 @@ class AlertTree:
         and, where that was off, an empty heap: rebuild the heap from the
         live records, or none of them would ever expire."""
         heap_was_kept = state.pop("_fast", True)
+        self.partition_memo = None
         self.__dict__.update(state)
         if not heap_was_kept:
             for location, node in self._nodes.items():
@@ -184,6 +198,18 @@ class AlertTree:
 
     def locations(self) -> List[LocationPath]:
         return list(self._nodes)
+
+    def partition(self, partitioner: Partitioner) -> List[List[LocationPath]]:
+        """The live locations split by ``partitioner``, memoised until the
+        location set changes (:attr:`structure_version`).
+
+        The partition depends on the set of live locations alone, so a
+        sweep that only refreshed records reuses the last one."""
+        memo = self.partition_memo
+        if memo is None or memo[0] != self.structure_version:
+            memo = (self.structure_version, partitioner(self.locations()))
+            self.partition_memo = memo
+        return memo[1]
 
     def records_at(self, location: LocationPath) -> List[TreeRecord]:
         return list(self._nodes.get(location, {}).values())

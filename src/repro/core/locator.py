@@ -35,12 +35,12 @@ module over a battery of seeded failure floods.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..topology.hierarchy import Level, LocationPath
 from ..topology.network import Topology
 from .alert import AlertLevel, StructuredAlert
-from .alert_tree import AlertTree, TreeRecord
+from .alert_tree import AlertTree
 from .config import SkyNetConfig
 from .incident import Incident, IncidentStatus
 
@@ -89,22 +89,12 @@ class Locator:
 
     # -- checkpoint hooks --------------------------------------------------------------
 
-    def checkpoint_tree(self) -> AlertTree:
-        """The main tree as a picklable checkpoint artefact.
-
-        Subclasses whose live tree is not directly picklable (the
-        multiprocess sharded locator owns its shard trees in worker
-        processes) override this to materialise an equivalent plain
-        tree; the base class just hands out the live one, which the
-        checkpoint store pickles at save time."""
-        return self.main_tree
-
     def restore_tree(self, tree: AlertTree) -> None:
-        """Load a :meth:`checkpoint_tree` artefact back into this locator.
+        """Load a checkpointed main tree back into this locator.
 
-        Resets the derived grouping memos; subclasses extend this to
-        rebuild whatever execution state (shard memos, worker-process
-        trees) hangs off the main tree."""
+        Resets the derived grouping memo; subclasses extend this to
+        rebuild whatever execution state (worker-process trees) hangs
+        off the main tree."""
         self.main_tree = tree
         self._groups_cache = None
         self._groups_version = -1

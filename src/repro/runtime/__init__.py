@@ -23,11 +23,11 @@ floods, no downtime):
   and exact crash-and-heal shard supervision.  Entirely opt-in: with no
   plan the runtime is byte-identical to a chaos-free build.
 * :mod:`workers` -- the multiprocess execution backend
-  (``backend="mp"``): each shard in a long-lived spawned worker process
-  owning its tree + partition engine, fed alert batches over pickled
-  pipes, with the cross-shard merge, incident-id assignment and
-  supervision (real SIGKILLed processes healed from snapshot+oplog)
-  staying in the parent.  Byte-identical to ``inproc`` at every shard
+  (``backend="mp"``): each shard tree owned by a long-lived spawned
+  worker process behind a :class:`RemoteAlertTree` proxy, so the
+  sharded tree, cross-shard merge, incident-id assignment and
+  supervision (real SIGKILLed processes healed from snapshot+oplog) are
+  the in-process code.  Byte-identical to ``inproc`` at every shard
   count.
 * :mod:`service` / :mod:`cli` -- composition plus the
   ``python -m repro.runtime`` entry point.
@@ -60,13 +60,12 @@ from .sharding import (
     ShardRouter,
     frontier_devices,
     merge_shard_partitions,
-    partition_locations,
 )
-from .supervisor import ShardSupervision, SupervisedAlertTree, SupervisedLocator
+from .supervisor import SupervisedAlertTree, SupervisedLocator
 from .workers import (
-    MPShardedAlertTree,
     MPShardedLocator,
     MPSupervisedLocator,
+    RemoteAlertTree,
     WorkerCrashed,
     WorkerError,
     WorkerPool,
@@ -89,18 +88,17 @@ __all__ = [
     "IOFault",
     "JournalCorruption",
     "JournalEntry",
-    "MPShardedAlertTree",
     "MPShardedLocator",
     "MPSupervisedLocator",
     "MetricsRegistry",
     "PerturbResult",
     "RecoveryReport",
+    "RemoteAlertTree",
     "RetryPolicy",
     "RuntimeObserver",
     "RuntimeService",
     "ShardCrash",
     "ShardRouter",
-    "ShardSupervision",
     "ShardedAlertTree",
     "ShardedLocator",
     "SourceBrownout",
@@ -115,7 +113,6 @@ __all__ = [
     "empty_plan",
     "frontier_devices",
     "merge_shard_partitions",
-    "partition_locations",
     "pipeline_state_dict",
     "restore_pipeline_state",
 ]

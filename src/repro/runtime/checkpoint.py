@@ -69,7 +69,7 @@ def pipeline_state_dict(net: SkyNet) -> Dict[str, object]:
             "stats": net.preprocessor.stats,
         },
         "locator": {
-            "main_tree": locator.checkpoint_tree(),
+            "main_tree": locator.main_tree,
             "open": locator._open,
             "finished": locator._finished,
             "pending": locator._pending,
@@ -94,8 +94,8 @@ def restore_pipeline_state(net: SkyNet, state: Dict[str, object]) -> None:
 
     loc_state = state["locator"]
     locator = net.locator
-    # restore_tree also drops the derived grouping memos (and, on the
-    # multiprocess backend, ships the shard trees back to the workers)
+    # restore_tree also drops the derived grouping memo (and, on the
+    # multiprocess backend, ships the shard trees into the workers)
     locator.restore_tree(loc_state["main_tree"])  # type: ignore[index]
     locator._open = loc_state["open"]  # type: ignore[index]
     locator._finished = loc_state["finished"]  # type: ignore[index]

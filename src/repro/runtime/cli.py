@@ -419,11 +419,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(service.metrics.render_json())
     return 0
 
-
-def run_from_raws(
-    service: RuntimeService, raws: List[RawAlert]
-) -> RuntimeService:
-    """Test hook: drive a prepared service over a prepared stream."""
-    service.run(raws)
-    service.finish()
-    return service

@@ -60,7 +60,7 @@ from .health import SourceHealthTracker
 from .journal import AlertJournal, JournalCorruption
 from .metrics import MetricsRegistry, registry_or_new
 from .sharding import ShardedLocator
-from .supervisor import ShardSupervision, SupervisedLocator
+from .supervisor import SupervisedLocator
 from .workers import MPShardedLocator, MPSupervisedLocator
 
 JOURNAL_SUBDIR = "journal"
@@ -368,13 +368,13 @@ class RuntimeService:
             ).set(len(self.degraded_sources()))
         locator = self.pipeline.locator
         if isinstance(locator, MPShardedLocator):
-            # per-worker counters are shipped at sweep barriers (with
-            # each partition reply); aggregate the latest snapshots
+            # per-worker counters ride on every worker reply; aggregate
+            # the latest ones
             for key, value in locator.worker_counters().items():
                 self.metrics.gauge(
                     f"runtime_worker_{key}",
                     f"worker-process {key.replace('_', ' ')} "
-                    "(summed over shards, as of the last sweep barrier)",
+                    "(summed over shards, as of each worker's last reply)",
                 ).set(value)
             self.metrics.gauge(
                 "runtime_workers_alive", "live locator worker processes"
@@ -442,7 +442,7 @@ class RuntimeService:
         :data:`~repro.runtime.faults.DATA_LOSS_CONFIDENCE`.
         """
         locator = self.pipeline.locator
-        if not isinstance(locator, ShardSupervision):
+        if not isinstance(locator, SupervisedLocator):
             return
         fired_any = False
         for crash in self._pending_crashes:
@@ -656,7 +656,7 @@ class RuntimeService:
             ).inc()
             return
         locator = self.pipeline.locator
-        if isinstance(locator, ShardSupervision):
+        if isinstance(locator, SupervisedLocator):
             # refresh shard recovery bases only once the checkpoint is
             # durable, keeping both recovery sources aligned
             locator.snapshot_shards()

@@ -1,7 +1,7 @@
 """Location-sharded locating: N independent alert-tree shards, one answer.
 
 The main tree is partitioned by Region subtree, so one shard is the unit
-that can crash and be healed (``supervisor.py``) or run in its own
+that can crash and be healed (``supervisor.py``) or live in its own
 worker process (``workers.py``) without touching its siblings.  It is a
 fault-isolation unit, not a throughput lever: the grouping it divides is
 near-linear in alerting locations, and the benchmark of record measures
@@ -37,8 +37,22 @@ the unsharded locator across the flood scenario battery.
 
 from __future__ import annotations
 
+import collections
+import functools
 import zlib
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from ..core.alert import StructuredAlert
 from ..core.alert_tree import AlertTree, TreeRecord
@@ -46,6 +60,12 @@ from ..core.config import SkyNetConfig
 from ..core.locator import CandidateGroup, Locator, _lca_prefix, widest_first
 from ..topology.hierarchy import LocationPath
 from ..topology.network import Topology
+
+if TYPE_CHECKING:
+    from .workers import RemoteAlertTree
+
+#: A shard's tree: in-process, or a proxy for one a worker process owns.
+ShardTree = Union[AlertTree, "RemoteAlertTree"]
 
 #: Shard index of the tree holding root-located alerts (no Region prefix).
 ROOT_SHARD = -1
@@ -98,11 +118,18 @@ class ShardedAlertTree:
     A global insertion-ordered location index keeps :meth:`locations` and
     :meth:`snapshot_under` iterating in exactly the order one unsharded
     tree would, so downstream consumers cannot observe the sharding.
+
+    A shard tree is a plain :class:`AlertTree` or, on the ``mp``
+    backend, a :class:`~repro.runtime.workers.RemoteAlertTree` proxy for
+    the tree a worker process owns; this class is the same either way.
+    Calls that touch every shard go out through :meth:`fan_out`, so they
+    cost one round trip per shard, not one per location.  The root tree
+    always stays in-process.
     """
 
     def __init__(self, router: ShardRouter) -> None:
         self.router = router
-        self.shard_trees: List[AlertTree] = [
+        self.shard_trees: List[ShardTree] = [
             AlertTree() for _ in range(router.shards)
         ]
         self.root_tree = AlertTree()
@@ -111,25 +138,55 @@ class ShardedAlertTree:
 
     # -- routing -----------------------------------------------------------
 
-    def tree_for(self, location: LocationPath) -> AlertTree:
-        index = self.router.shard_of(location)
+    def tree_at(self, index: int) -> ShardTree:
         return self.root_tree if index == ROOT_SHARD else self.shard_trees[index]
 
-    def trees(self) -> Iterator[Tuple[int, AlertTree]]:
+    def tree_for(self, location: LocationPath) -> ShardTree:
+        return self.tree_at(self.router.shard_of(location))
+
+    def trees(self) -> Iterator[Tuple[int, ShardTree]]:
         """All shard trees plus the root tree, stable order."""
         for index, tree in enumerate(self.shard_trees):
             yield index, tree
         yield ROOT_SHARD, self.root_tree
 
+    def fan_out(
+        self, method: str, *args: Any, only: Optional[Set[int]] = None
+    ) -> List[Any]:
+        """``method(*args)`` on each tree of :meth:`trees` (those in
+        ``only``, if given), results in that order.
+
+        A remote shard tree's ``begin`` only sends the call, so every
+        worker has its request before the first reply is awaited and the
+        workers run the call side by side.  Every reply is collected
+        before an error is raised, so no worker is left a reply ahead of
+        its proxy."""
+        waits: List[Callable[[], Any]] = []
+        for index, tree in self.trees():
+            if only is not None and index not in only:
+                continue
+            if isinstance(tree, AlertTree):
+                waits.append(functools.partial(getattr(tree, method), *args))
+            else:
+                waits.append(tree.begin(method, *args))
+        results: List[Any] = []
+        failure: Optional[Exception] = None
+        for wait in waits:
+            try:
+                results.append(wait())
+            except Exception as exc:  # re-raised once every reply is in
+                failure = failure or exc
+        if failure is not None:
+            raise failure
+        return results
+
     # -- AlertTree interface: mutation -------------------------------------
 
     def insert(self, alert: StructuredAlert) -> TreeRecord:
         index = self.router.shard_of(alert.location)
-        tree = self.root_tree if index == ROOT_SHARD else self.shard_trees[index]
-        record = tree.insert(alert)
+        record = self.tree_at(index).insert(alert)
         # Insertion-order map spans all shards by design: report order must
-        # match the unsharded tree byte-for-byte.  The multiprocess port
-        # needs a merge step here (ROADMAP).
+        # match the unsharded tree byte-for-byte.
         self._order.setdefault(alert.location, index)  # lint: allow REP014
         return record
 
@@ -142,32 +199,30 @@ class ShardedAlertTree:
             buckets.setdefault(index, []).append(alert)
         count = 0
         for index, batch in buckets.items():
-            tree = (
-                self.root_tree if index == ROOT_SHARD else self.shard_trees[index]
-            )
-            count += tree.insert_batch(batch)
+            count += self.tree_at(index).insert_batch(batch)
         return count
 
     def expire(self, now: float, timeout_s: float) -> int:
-        removed = 0
-        structure_changed = False
-        for _, tree in self.trees():
-            before = tree.structure_version
-            removed += tree.expire(now, timeout_s)
-            if tree.structure_version != before:
-                structure_changed = True
-        if structure_changed:
-            for location in list(self._order):
-                index = self._order[location]
-                tree = (
-                    self.root_tree
-                    if index == ROOT_SHARD
-                    else self.shard_trees[index]
-                )
-                if location not in tree:
-                    # Cross-shard order map upkeep.
-                    del self._order[location]  # lint: allow REP014
+        removed = self._expire_trees(now, timeout_s)
+        if sum(len(tree) for _, tree in self.trees()) != len(self._order):
+            # nodes expired: drop their order entries, asking each shard
+            # that shrank for its live locations once
+            held = collections.Counter(self._order.values())
+            shrunk = {
+                index for index, tree in self.trees() if len(tree) != held[index]
+            }
+            live: Set[LocationPath] = set()
+            for locations in self.fan_out("locations", only=shrunk):
+                live.update(locations)
+            self._order = {  # lint: allow REP014
+                location: index
+                for location, index in self._order.items()
+                if index not in shrunk or location in live
+            }
         return removed
+
+    def _expire_trees(self, now: float, timeout_s: float) -> int:
+        return sum(self.fan_out("expire", now, timeout_s))
 
     # -- AlertTree interface: queries --------------------------------------
 
@@ -179,15 +234,10 @@ class ShardedAlertTree:
 
     @property
     def structure_version(self) -> int:
-        return self.root_tree.structure_version + sum(
-            tree.structure_version for tree in self.shard_trees
-        )
+        return sum(tree.structure_version for _, tree in self.trees())
 
     def consume_dirty(self) -> Set[LocationPath]:
-        dirty: Set[LocationPath] = set()
-        for _, tree in self.trees():
-            dirty |= tree.consume_dirty()
-        return dirty
+        return set().union(*self.fan_out("consume_dirty"))
 
     def locations(self) -> List[LocationPath]:
         return list(self._order)
@@ -199,40 +249,22 @@ class ShardedAlertTree:
         return self.tree_for(location).iter_records_at(location)
 
     def records_under(self, root: LocationPath) -> Iterator[TreeRecord]:
-        for location in self._order:
-            if root.contains(location):
-                yield from self.tree_for(location).iter_records_at(location)
+        for location in self.locations_under(root):
+            yield from self.iter_records_at(location)
 
     def locations_under(self, root: LocationPath) -> List[LocationPath]:
         return [loc for loc in self._order if root.contains(loc)]
 
     def total_records(self) -> int:
-        return sum(tree.total_records() for _, tree in self.trees())
+        return sum(self.fan_out("total_records"))
 
     def snapshot_under(
         self, root: LocationPath
     ) -> Dict[LocationPath, List[TreeRecord]]:
-        out: Dict[LocationPath, List[TreeRecord]] = {}
-        for location in self._order:
-            if root.contains(location):
-                out[location] = [
-                    record.clone()
-                    for record in self.tree_for(location).iter_records_at(location)
-                ]
-        return out
-
-
-def partition_locations(
-    engine: Locator, locations: List[LocationPath]
-) -> List[List[LocationPath]]:
-    """One shard's partition with the engine's grouping rules.
-
-    The single entry point both backends share: the in-process sharded
-    locator calls it per shard tree, and each ``repro.runtime.workers``
-    worker process calls it over its own tree, so the per-shard
-    components are computed by the same pure function either way.
-    """
-    return engine._indexed_partition(locations)
+        found: Dict[LocationPath, List[TreeRecord]] = {}
+        for part in self.fan_out("snapshot_under", root):
+            found.update(part)
+        return {loc: found[loc] for loc in self._order if loc in found}
 
 
 def merge_shard_partitions(
@@ -332,12 +364,13 @@ class ShardedLocator(Locator):
     """§4.2 locating over N region shards with an exact cross-shard merge.
 
     Inherits every algorithm from :class:`Locator` -- feeds, sweeps,
-    thresholds, supersession -- and overrides only the candidate-group
-    computation: each shard tree is partitioned independently (memoised
-    per shard on its structure version), then components are unioned
-    across shards along alerting frontier-device edges and through any
-    live root-shard node.  See the module docstring for why that merge
-    is exact.
+    thresholds, supersession, type counting -- and overrides only the
+    candidate-group computation: each shard tree is partitioned
+    independently (:meth:`AlertTree.partition`, memoised by the tree on
+    its structure version; on the ``mp`` backend the worker that owns
+    the tree runs it), then components are unioned across shards along
+    alerting frontier-device edges and through any live root-shard node.
+    See the module docstring for why that merge is exact.
     """
 
     def __init__(
@@ -353,33 +386,22 @@ class ShardedLocator(Locator):
         self._frontier = frontier_devices(
             topology, self._config.connectivity_max_hops
         )
-        #: per-shard partition memo: shard index -> (version, components)
-        self._partitions: Dict[int, Tuple[int, List[List[LocationPath]]]] = {}
 
     @property
     def shards(self) -> int:
         return self.router.shards
 
-    def _candidate_groups(self) -> List[CandidateGroup]:
+    @property
+    def sharded_tree(self) -> ShardedAlertTree:
         tree: ShardedAlertTree = self.main_tree  # type: ignore[assignment]
-        shard_parts: List[Tuple[int, List[List[LocationPath]]]] = []
-        for index, shard_tree in tree.trees():
-            version = shard_tree.structure_version
-            cached = self._partitions.get(index)
-            if cached is None or cached[0] != version:
-                cached = (
-                    version,
-                    partition_locations(self, shard_tree.locations()),
-                )
-                self._partitions[index] = cached
-            shard_parts.append((index, cached[1]))
+        return tree
+
+    def _candidate_groups(self) -> List[CandidateGroup]:
+        tree = self.sharded_tree
+        parts = tree.fan_out("partition", self._indexed_partition)
         return merge_shard_partitions(
             self._topo,
             self._config.connectivity_max_hops,
             self._frontier,
-            shard_parts,
+            [(index, part) for (index, _), part in zip(tree.trees(), parts)],
         )
-
-    def restore_tree(self, tree: AlertTree) -> None:
-        super().restore_tree(tree)
-        self._partitions = {}

@@ -16,11 +16,13 @@ checkpoints at:
   snapshot reconstructs the shard tree *exactly*.
 * :class:`SupervisedLocator` swaps that tree in and exposes
   ``crash_shard`` / ``heal_crashed``: a crash wipes one shard's live
-  tree (sibling shards, open incidents and the root tree are untouched);
-  healing restores the base snapshot and replays the log.  The service
-  triggers crashes from the :class:`~repro.runtime.faults.ChaosPlan` and
-  runs the supervision check before the pipeline next touches the tree,
-  so a healed shard is indistinguishable from one that never died --
+  tree -- on the ``mp`` backend it SIGKILLs the worker process that owns
+  it -- while sibling shards, open incidents and the root tree are
+  untouched; healing restores the base snapshot and replays the log.
+  The service triggers crashes from the
+  :class:`~repro.runtime.faults.ChaosPlan` and runs the supervision
+  check before the pipeline next touches the tree, so a healed shard is
+  indistinguishable from one that never died --
   ``tests/runtime/test_chaos.py`` pins the incident stream (ids
   included) against an uncrashed run.
 
@@ -44,75 +46,16 @@ from .sharding import ROOT_SHARD, ShardedAlertTree, ShardedLocator, ShardRouter
 _Op = Union[Tuple[str, StructuredAlert], Tuple[str, float, float]]
 
 
-class ShardSupervision:
-    """The crash/heal surface the service drives, backend-agnostic.
-
-    Implemented by :class:`SupervisedLocator` (in-process shards: a
-    crash wipes one shard's live tree) and by
-    :class:`~repro.runtime.workers.MPSupervisedLocator` (multiprocess
-    shards: a crash SIGKILLs the real worker process).  Either way the
-    contract is the same: ``crash_shard`` loses exactly one shard's live
-    state, ``heal_crashed`` rebuilds it from base snapshot + op-log
-    replay, and ``snapshot_shards`` refreshes the recovery bases at
-    checkpoint time.  The counters let the service meter supervision
-    without knowing which backend it is talking to.
-    """
-
-    def crash_shard(self, index: int) -> None:
-        raise NotImplementedError
-
-    def heal_crashed(self) -> int:
-        raise NotImplementedError
-
-    def snapshot_shards(self) -> None:
-        raise NotImplementedError
-
-    def invalidate_snapshot(self, index: int) -> None:
-        """Destroy shard ``index``'s recovery source (base *and* op log).
-
-        Models partial checkpoint loss in a correlated crash: the shard
-        can no longer be healed locally.  The op log must go with the
-        base -- a later :meth:`install_base` carries current state, and
-        replaying the old log over it would double-apply mutations.
-        """
-        raise NotImplementedError
-
-    def install_base(self, index: int, blob: bytes) -> None:
-        """Install ``blob`` (a pickled shard tree at *current* state) as
-        shard ``index``'s recovery base, clearing its op log and lost
-        mark.  Used by the service after rebuilding a lost shard from
-        the durable checkpoint + journal tail."""
-        raise NotImplementedError
-
-    def lost_snapshots(self) -> Set[int]:
-        """Shards whose recovery source is currently invalidated."""
-        raise NotImplementedError
-
-    @property
-    def crashes(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def restores(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def replayed_ops(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def degraded_heals(self) -> int:
-        """Heals that fell back to an empty tree (data loss admitted)."""
-        raise NotImplementedError
-
-
 class SupervisedAlertTree(ShardedAlertTree):
     """A :class:`ShardedAlertTree` whose shards can crash and be healed.
 
     Mutations route through the parent unchanged; per regular shard they
-    are additionally appended to that shard's op log.  The root tree is
-    deliberately outside the crash model -- it is the cross-shard merge
-    anchor, not a worker.
+    are additionally appended to that shard's op log once the shard has
+    taken them.  So a heal that runs *inside* a call -- a worker process
+    found dead mid-operation, see :meth:`recover` -- replays the log
+    without that call, and the retried call applies it exactly once.
+    The root tree is deliberately outside the crash model -- it is the
+    cross-shard merge anchor, not a worker.
     """
 
     def __init__(self, router: ShardRouter) -> None:
@@ -133,22 +76,25 @@ class SupervisedAlertTree(ShardedAlertTree):
     # -- logged mutations --------------------------------------------------
 
     def insert(self, alert: StructuredAlert) -> TreeRecord:
+        record = super().insert(alert)
         index = self.router.shard_of(alert.location)
         if index != ROOT_SHARD:
             self._oplog[index].append(("insert", alert))
-        return super().insert(alert)
+        return record
 
     def insert_batch(self, alerts: List[StructuredAlert]) -> int:
+        count = super().insert_batch(alerts)
         for alert in alerts:
             index = self.router.shard_of(alert.location)
             if index != ROOT_SHARD:
                 self._oplog[index].append(("insert", alert))
-        return super().insert_batch(alerts)
+        return count
 
-    def expire(self, now: float, timeout_s: float) -> int:
+    def _expire_trees(self, now: float, timeout_s: float) -> int:
+        removed = super()._expire_trees(now, timeout_s)
         for log in self._oplog.values():
             log.append(("expire", now, timeout_s))
-        return super().expire(now, timeout_s)
+        return removed
 
     # -- supervision -------------------------------------------------------
 
@@ -186,52 +132,73 @@ class SupervisedAlertTree(ShardedAlertTree):
         return set(self._lost)
 
     def crash(self, index: int) -> None:
-        """Lose shard ``index``'s live tree, as a dead worker would."""
+        """Lose shard ``index``'s live tree, as a dead worker would; on
+        the ``mp`` backend its worker process is SIGKILLed for real."""
         if not 0 <= index < len(self.shard_trees):
             raise IndexError(f"no shard {index} (have {len(self.shard_trees)})")
-        self.shard_trees[index] = AlertTree()
+        tree = self.shard_trees[index]
+        if isinstance(tree, AlertTree):
+            self.shard_trees[index] = AlertTree()
+        else:
+            tree.kill()
         self._crashed.add(index)
         self.crashes += 1
-
-    @property
-    def crashed_shards(self) -> Set[int]:
-        return set(self._crashed)
 
     def heal_all(self) -> int:
         """Restore every crashed shard from base snapshot + op-log replay.
 
         Returns the number of shards healed.  Sibling shards are never
         touched: healing rebuilds one shard's :class:`AlertTree` in
-        isolation and swaps it into place.
+        isolation and swaps it into place (a remote shard ships it into
+        a fresh worker process).
         """
-        healed = 0
         for index in sorted(self._crashed):
-            base = self._base[index]
-            tree = pickle.loads(base) if base is not None else AlertTree()
-            if index in self._lost:
-                # recovery source destroyed and no rebuilt base was
-                # installed: the heal is empty-tree, data loss admitted
-                self.degraded_heals += 1
-                self._lost.discard(index)
-            for op in self._oplog[index]:
-                if op[0] == "insert":
-                    tree.insert(op[1])  # type: ignore[arg-type]
-                else:
-                    tree.expire(op[1], op[2])  # type: ignore[arg-type, misc]
-            self.replayed_ops += len(self._oplog[index])
-            self.shard_trees[index] = tree
-            self.restores += 1
-            healed += 1
+            tree = self.shard_trees[index]
+            if isinstance(tree, AlertTree):
+                self.shard_trees[index] = self._rebuilt(index)
+            else:
+                tree.load(self._rebuilt(index))
+        healed = len(self._crashed)
         self._crashed.clear()
         return healed
 
+    def recover(self, index: int) -> AlertTree:
+        """Shard ``index``'s tree after a crash nobody planned: a remote
+        shard calls this when it finds its worker process dead."""
+        self.crashes += 1
+        self._crashed.discard(index)
+        return self._rebuilt(index)
 
-class SupervisedLocator(ShardedLocator, ShardSupervision):
+    def _rebuilt(self, index: int) -> AlertTree:
+        """Shard ``index``'s tree from its base snapshot + op-log replay."""
+        base = self._base[index]
+        tree = pickle.loads(base) if base is not None else AlertTree()
+        if index in self._lost:
+            # recovery source destroyed and no rebuilt base was
+            # installed: the heal is empty-tree, data loss admitted
+            self.degraded_heals += 1
+            self._lost.discard(index)
+        for op in self._oplog[index]:
+            if op[0] == "insert":
+                tree.insert(op[1])  # type: ignore[arg-type]
+            else:
+                tree.expire(op[1], op[2])  # type: ignore[arg-type, misc]
+        self.replayed_ops += len(self._oplog[index])
+        self.restores += 1
+        return tree
+
+
+class SupervisedLocator(ShardedLocator):
     """A :class:`ShardedLocator` running under shard supervision.
 
     Identical locating behaviour (the supervised tree only *records*
     mutations), plus the crash/heal surface the service drives from its
-    chaos plan.
+    chaos plan: ``crash_shard`` loses exactly one shard's live state,
+    ``heal_crashed`` rebuilds it from base snapshot + op-log replay, and
+    ``snapshot_shards`` refreshes the recovery bases at checkpoint time.
+    The same class serves both backends; on ``mp``
+    (:class:`~repro.runtime.workers.MPSupervisedLocator`) the shard
+    trees are worker-process proxies.
     """
 
     def __init__(
@@ -242,7 +209,6 @@ class SupervisedLocator(ShardedLocator, ShardSupervision):
     ) -> None:
         super().__init__(topology, config, shards)
         self.main_tree = SupervisedAlertTree(self.router)  # type: ignore[assignment]
-        self._partitions = {}
 
     @property
     def supervised_tree(self) -> SupervisedAlertTree:
@@ -259,12 +225,24 @@ class SupervisedLocator(ShardedLocator, ShardSupervision):
         self.supervised_tree.snapshot_shards()
 
     def invalidate_snapshot(self, index: int) -> None:
+        """Destroy shard ``index``'s recovery source (base *and* op log).
+
+        Models partial checkpoint loss in a correlated crash: the shard
+        can no longer be healed locally.  The op log must go with the
+        base -- a later :meth:`install_base` carries current state, and
+        replaying the old log over it would double-apply mutations.
+        """
         self.supervised_tree.invalidate_snapshot(index)
 
     def install_base(self, index: int, blob: bytes) -> None:
+        """Install ``blob`` (a pickled shard tree at *current* state) as
+        shard ``index``'s recovery base, clearing its op log and lost
+        mark.  Used by the service after rebuilding a lost shard from
+        the durable checkpoint + journal tail."""
         self.supervised_tree.install_base(index, blob)
 
     def lost_snapshots(self) -> Set[int]:
+        """Shards whose recovery source is currently invalidated."""
         return self.supervised_tree.lost_snapshots()
 
     @property
@@ -281,6 +259,7 @@ class SupervisedLocator(ShardedLocator, ShardSupervision):
 
     @property
     def degraded_heals(self) -> int:
+        """Heals that fell back to an empty tree (data loss admitted)."""
         return self.supervised_tree.degraded_heals
 
     def restore_tree(self, tree: AlertTree) -> None:
@@ -288,9 +267,9 @@ class SupervisedLocator(ShardedLocator, ShardSupervision):
 
         A checkpoint written by a supervised run carries the
         :class:`SupervisedAlertTree` (op logs and bases included) and is
-        adopted as-is.  A checkpoint written by another backend (the
-        multiprocess locator materialises a plain
-        :class:`ShardedAlertTree`) is upgraded: the shard trees are
+        adopted as-is.  A checkpoint written without supervision (a plain
+        :class:`ShardedAlertTree`, from either backend) is upgraded: the
+        shard trees are
         adopted and immediately re-snapshotted as the recovery bases,
         which is exact because the checkpoint state *is* the
         at-sequence state."""

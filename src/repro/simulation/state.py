@@ -23,9 +23,9 @@ Two views of health exist deliberately:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..topology.hierarchy import Level, LocationPath
+from ..topology.hierarchy import LocationPath
 from ..topology.network import INTERNET, Topology
 from ..topology.routing import (
     HealthView,
@@ -187,9 +187,6 @@ class NetworkState(HealthView):
         self._refresh_active()
         return self._active_sig
 
-    def all_conditions(self) -> List[Condition]:
-        return list(self._conditions)
-
     def conditions_on_device(self, device_name: str) -> List[Condition]:
         self._refresh_active()
         return list(self._active_by_target.get(device_name, ()))
@@ -197,10 +194,6 @@ class NetworkState(HealthView):
     def conditions_on_circuit_set(self, set_id: str) -> List[Condition]:
         self._refresh_active()
         return list(self._active_by_target.get(set_id, ()))
-
-    def conditions_on_location(self, location: LocationPath) -> List[Condition]:
-        self._refresh_active()
-        return list(self._active_by_target.get(location, ()))
 
     # -- actual health (HealthView) ----------------------------------------------
 
@@ -282,9 +275,6 @@ class NetworkState(HealthView):
             self._placement_key = key
             self._ddos_routes.clear()
         return self._placement
-
-    def baseline_placement(self) -> Optional[FlowPlacement]:
-        return self._baseline_placement
 
     def _ddos_route(self, cond: Condition) -> Optional[RoutePath]:
         """Path attack traffic takes from the Internet to the victim cluster."""
@@ -465,14 +455,3 @@ class NetworkState(HealthView):
     def internet_loss(self, server: str) -> Tuple[RoutePath, float]:
         route = self._cached_route(server, INTERNET)
         return route, self.route_loss_rate(route)
-
-    def cluster_pair_loss(
-        self, cluster_a: LocationPath, cluster_b: LocationPath
-    ) -> Optional[float]:
-        """Loss between representative servers of two clusters (Figure 7)."""
-        route = self._reach_cache.route_clusters(
-            cluster_a, cluster_b, self._routing_health
-        )
-        if route is None:
-            return None
-        return self.route_loss_rate(route)

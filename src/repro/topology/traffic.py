@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 from .hierarchy import LocationPath
 from .network import INTERNET, Topology
@@ -157,10 +157,6 @@ class TrafficModel:
         if not customers:
             return 0.0
         return sum(c.importance for c in customers) / len(customers)
-
-    def customer_count(self, set_id: str, placement: FlowPlacement) -> int:
-        """``u_i``: number of distinct customers on the circuit set."""
-        return len(self.customers_on_circuit_set(set_id, placement))
 
     def offered_load_gbps(self, set_id: str, placement: FlowPlacement) -> float:
         return sum(self._flows[f].rate_gbps for f in placement.flows_on(set_id))

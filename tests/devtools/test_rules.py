@@ -3,11 +3,13 @@ stays silent on its positive one."""
 
 from __future__ import annotations
 
+import fnmatch
+
 import pytest
 
 from repro.devtools.lint import LintEngine, UsageError
 
-from .conftest import FIXTURES, run_project_rule, run_rule
+from .conftest import FIXTURES, REPO_ROOT, run_project_rule, run_rule
 
 #: rule id -> (bad fixture, expected finding count, good fixture)
 FILE_RULE_CASES = {
@@ -143,6 +145,29 @@ def test_rep014_findings_name_the_entry_point():
                for m in messages)
     assert any("written after construction" in m for m in messages)
     assert all("[entry " in m and "ShardedLocator" in m for m in messages)
+
+
+def test_rep014_globs_each_match_code_in_src():
+    """Every configured REP014 glob names something under ``src/repro``.
+
+    The rule reports nothing for a glob that matches nothing, so a glob
+    left behind by a rename would switch part of it off in silence."""
+    from repro.devtools.lint.engine import Project, SourceFile
+    from repro.devtools.lint.rules.rep014_shard_safety import ShardSafetyRule
+
+    paths = LintEngine.discover([REPO_ROOT / "src" / "repro"])
+    project = Project([SourceFile(path) for path in paths])
+    analysis = project.analysis
+    options = ShardSafetyRule.default_options
+    for pattern in options["entry_points"]:
+        assert analysis.callgraph.match_functions([pattern]), pattern
+    classes = {
+        name
+        for table in analysis.symbols.modules.values()
+        for name in table.classes
+    }
+    for pattern in options["shared_classes"]:
+        assert fnmatch.filter(sorted(classes), pattern), pattern
 
 
 def test_rep015_covers_all_drift_directions():

@@ -28,7 +28,7 @@ import os
 import random
 import signal
 import time
-from typing import FrozenSet, List, Sequence, Set, Tuple
+from typing import List, Sequence, Set
 
 import pytest
 
@@ -46,10 +46,10 @@ from repro.runtime.faults import (
     chaos_or_none,
     empty_plan,
 )
-from repro.runtime.supervisor import ShardSupervision
+from repro.runtime.supervisor import SupervisedLocator
 from repro.runtime.workers import MPSupervisedLocator
 
-from ..test_equivalence_flood import _assert_equal, _device_down, _fingerprint, _stream
+from ..test_equivalence_flood import _assert_equal, _fingerprint
 from .test_kill_resume import (
     BACKENDS,
     _incident_ids,
@@ -111,7 +111,7 @@ def test_out_of_window_plan_is_byte_identical(shards, backend):
         ),
     )
     service = chaos_run(topo, state, raws, config, plan)
-    assert isinstance(service.pipeline.locator, ShardSupervision)
+    assert isinstance(service.pipeline.locator, SupervisedLocator)
     _assert_equal(expected, _fingerprint(service.pipeline))
     assert _incident_ids(service) == expected_ids
     assert service.metrics.counter_value("runtime_shard_crashes_total") == 0

@@ -325,7 +325,7 @@ def test_incremental_feed_interleavings_mp():
             net.feed(raw)
             reference.feed(raw)
             if i % 500 == 0:
-                # mid-stream reads flush worker outboxes and must neither
+                # mid-stream reads reach the worker trees and must neither
                 # change eventual output nor diverge from the reference
                 assert len(net.incidents()) == len(reference.incidents())
         net.finish()
