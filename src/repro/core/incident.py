@@ -83,6 +83,21 @@ class Incident:
             self.update_time = max(
                 r.last_seen for recs in seed_nodes.values() for r in recs
             )
+        #: least ``first_seen`` of any record (None while there are none)
+        self._first_seen = self._least_first_seen()
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # incidents pickled before the running minimum existed lack it
+        self.__dict__.update(state)
+        if "_first_seen" not in state:
+            self._first_seen = self._least_first_seen()
+
+    def _least_first_seen(self) -> Optional[float]:
+        return min((r.first_seen for r in self.records()), default=None)
+
+    def _saw(self, first_seen: float) -> None:
+        if self._first_seen is None or first_seen < self._first_seen:
+            self._first_seen = first_seen
 
     # -- growth --------------------------------------------------------------
 
@@ -101,6 +116,7 @@ class Incident:
             node[alert.type_key] = record_from(alert)
         else:
             record.absorb(alert)
+        self._saw(alert.first_seen)
         self.update_time = max(self.update_time, alert.last_seen)
 
     def absorb_incident(self, other: "Incident") -> None:
@@ -112,6 +128,7 @@ class Incident:
                     _merge_records(mine[key], record)
                 else:
                     mine[key] = record.clone()
+                self._saw(record.first_seen)
         self.created_at = min(self.created_at, other.created_at)
         self.update_time = max(self.update_time, other.update_time)
 
@@ -147,10 +164,9 @@ class Incident:
 
     @property
     def start_time(self) -> float:
-        records = list(self.records())
-        if not records:
+        if self._first_seen is None:
             return self.created_at
-        return min(r.first_seen for r in records)
+        return self._first_seen
 
     @property
     def end_time(self) -> float:

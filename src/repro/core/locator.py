@@ -22,30 +22,36 @@ Flood scale: §6.2 promises end-to-end locating in seconds under
 production floods, so :meth:`Locator.feed` only buffers -- the open-
 incident set changes at sweeps alone, and :meth:`Locator.flush` applies
 a sweep interval's alerts in one pass; main-tree records expire through
-a freshness heap; connectivity grouping is a prefix-indexed union-find
-(every containment edge runs through a registered ancestor prefix, so
-walking each location's ancestor prefixes finds every edge a pairwise
-containment scan would); and candidate groups are memoised on the
-tree's structure version between sweeps.  The straight-from-the-paper
-quadratic version lives on as ``tests/reference_oracle.py``, which
-``tests/test_equivalence_flood.py`` holds bit-for-bit equal to this
-module over a battery of seeded failure floods.
+a freshness heap; and connectivity grouping is incremental.  This module
+states the three edge rules as per-location match keys
+(:meth:`Locator.links`: device-ball hubs, ancestor prefixes, glue
+parents), and the main tree keeps the partition they induce alive
+across sweeps (:meth:`AlertTree.partition`), so a sweep pays for the
+locations created or dropped since the last one, not for every live
+location.  The straight-from-the-paper quadratic version lives on as
+``tests/reference_oracle.py``, which ``tests/test_equivalence_flood.py``
+holds bit-for-bit equal to this module over a battery of seeded failure
+floods.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..topology.hierarchy import Level, LocationPath
 from ..topology.network import Topology
 from .alert import AlertLevel, StructuredAlert
-from .alert_tree import AlertTree
+from .alert_tree import AlertTree, Component, Links
 from .config import SkyNetConfig
 from .incident import Incident, IncidentStatus
 
 #: One candidate alert group: (root = the group's LCA, member locations).
-CandidateGroup = Tuple[LocationPath, List[LocationPath]]
+CandidateGroup = Tuple[LocationPath, Component]
+
+#: Devices whose parent sits at logic-site depth or deeper glue the area
+#: they serve (DESIGN.md's third edge rule).
+_GLUE_DEPTH = Level.LOGIC_SITE.value
 
 
 @dataclasses.dataclass
@@ -68,9 +74,6 @@ class Locator:
         self._finished: List[Incident] = []
         # alerts buffered between sweeps (drained by flush())
         self._pending: List[StructuredAlert] = []
-        # candidate groups memoised on the tree structure version
-        self._groups_cache: Optional[List[CandidateGroup]] = None
-        self._groups_version = -1
 
     @property
     def config(self) -> SkyNetConfig:
@@ -92,12 +95,10 @@ class Locator:
     def restore_tree(self, tree: AlertTree) -> None:
         """Load a checkpointed main tree back into this locator.
 
-        Resets the derived grouping memo; subclasses extend this to
-        rebuild whatever execution state (worker-process trees) hangs
-        off the main tree."""
+        The tree rebuilds its connectivity partition at the next sweep;
+        subclasses extend this to rebuild whatever execution state
+        (worker-process trees) hangs off the main tree."""
         self.main_tree = tree
-        self._groups_cache = None
-        self._groups_version = -1
 
     # -- Algorithm 1: alert insertion ------------------------------------------------
 
@@ -188,78 +189,17 @@ class Locator:
     # -- connectivity grouping ------------------------------------------------------------
 
     def _candidate_groups(self) -> List[CandidateGroup]:
-        """Rooted candidate groups for this sweep, :func:`widest_first`,
-        memoised between sweeps.
+        """Rooted candidate groups for this sweep, :func:`widest_first`.
 
         The extension hook for alternative grouping engines (the sharded
         locator in ``repro.runtime`` overrides this with a per-shard
-        partition plus an exact cross-shard merge).  The partition only
-        depends on the *set* of alerting locations, so the memo stays
-        valid until the tree gains or loses a node
-        (``structure_version``)."""
-        version = self.main_tree.structure_version
-        if self._groups_cache is not None and self._groups_version == version:
-            return self._groups_cache
-        components = self._indexed_partition(self.main_tree.locations())
-        groups = widest_first([(_lca_prefix(comp), comp) for comp in components])
-        self._groups_cache, self._groups_version = groups, version
-        return groups
+        partition plus an exact cross-shard merge)."""
+        components = self.main_tree.partition(self.links)
+        return widest_first([(comp.root, comp) for comp in components])
 
-    def _device_components(
-        self, device_names: Tuple[str, ...]
-    ) -> List[List[str]]:
-        """Hop-connectivity device partition, computed via ball midpoints.
-
-        Same partition as :meth:`Topology.connected_device_components`
-        over the same name set (the edge relation -- graph distance
-        ``<= connectivity_max_hops`` -- is identical), computed without
-        materialising the max_hops fan-out per device."""
-        max_hops = self._config.connectivity_max_hops
-        current = [n for n in device_names if n in self._topo.devices]
-        parent = {n: n for n in current}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a: str, b: str) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        if max_hops > 0 and max_hops % 2 == 0:
-            # midpoint decomposition: dist(a, b) <= 2k iff some device c
-            # (a shortest-path midpoint) has dist(a, c) <= k and
-            # dist(c, b) <= k, so devices sharing any radius-k ball are
-            # unioned through that ball's anchor.  Cost is sum of
-            # radius-k ball sizes -- for the default max_hops=2 that is
-            # the plain adjacency degree, not the 2-hop fan-out.
-            half = max_hops // 2
-            anchor: Dict[str, str] = {}
-            for name in current:
-                mine = anchor.setdefault(name, name)
-                if mine != name:
-                    union(name, mine)
-                for center in self._topo.hop_neighbourhood(name, half):
-                    other = anchor.setdefault(center, name)
-                    if other != name:
-                        union(name, other)
-        else:
-            name_set = set(current)
-            for name in current:
-                for hit in self._topo.hop_neighbourhood(name, max_hops) & name_set:
-                    union(name, hit)
-        groups: Dict[str, List[str]] = {}
-        for name in current:
-            groups.setdefault(find(name), []).append(name)
-        return list(groups.values())
-
-    def _indexed_partition(
-        self, locations: List[LocationPath]
-    ) -> List[List[LocationPath]]:
-        """Partition alerting locations into topology-connected groups.
+    def links(self, location: LocationPath) -> Links:
+        """``location``'s edges under the connectivity rules, as the match
+        keys :meth:`AlertTree.partition` links live locations by.
 
         Rules (see DESIGN.md):
 
@@ -273,76 +213,48 @@ class Locator:
           deeper: a backbone router's alert must not claim every alert in
           its region, or concurrent scenes would merge into one blob.
 
-        Every containment edge joins a location to one of its ancestor
-        prefixes, so an ancestor-prefix walk over a segments index finds
-        the edge set in O(locations x depth) instead of O(locations^2)
-        pairwise containment tests."""
-        if not locations:
-            return []
-        # integer-indexed union-find: find/union are pure list ops, no
-        # LocationPath hashing on the O(n alpha(n)) inner loops
-        index = {loc: i for i, loc in enumerate(locations)}
-        parent = list(range(len(locations)))
+        Keys: a structural location owns its segments and seeks its
+        ancestors' (containment) and the glue key of each enclosing
+        area at logic-site depth or deeper; a device seeks every
+        enclosing structural prefix (upward glue), owns its parent's
+        glue key when that is deep enough, and shares the hubs of
+        :meth:`_device_hubs`, claimed by its name (of two live device
+        paths with one name, only the newer one's hubs count)."""
+        segments = location.segments
+        if not location.is_device:
+            seeks: List[Hashable] = [segments[:depth] for depth in range(len(segments))]
+            seeks += [
+                ("glue", segments[:depth])
+                for depth in range(_GLUE_DEPTH, len(segments) + 1)
+            ]
+            return None, (), (segments,), tuple(seeks)
+        name = location.name
+        upward = tuple(segments[:depth] for depth in range(len(segments) + 1))
+        owns = (("glue", segments[:-1]),) if len(segments) - 1 >= _GLUE_DEPTH else ()
+        if name not in self._topo.devices:
+            return None, (), owns, upward
+        return name, self._device_hubs(name), owns, upward
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    def _device_hubs(self, name: str) -> Tuple[Hashable, ...]:
+        """Hubs two devices share exactly when within ``max_hops``.
 
-        def union(a: int, b: int) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        device_locs = [loc for loc in locations if loc.is_device]
-        struct_locs = [loc for loc in locations if not loc.is_device]
-
-        # alerting devices within connectivity_max_hops share a group
-        by_name = {loc.name: index[loc] for loc in device_locs}
-        for group in self._device_components(tuple(by_name)):
-            members = [by_name[n] for n in group if n in by_name]
-            for other in members[1:]:
-                union(members[0], other)
-
-        # structural containment: every contained pair meets at a
-        # registered ancestor prefix of the deeper location
-        by_segments = {loc.segments: index[loc] for loc in struct_locs}
-        for loc in struct_locs:
-            segments = loc.segments
-            own = index[loc]
-            for depth in range(len(segments)):
-                ancestor = by_segments.get(segments[:depth])
-                if ancestor is not None:
-                    union(ancestor, own)
-
-        # device-structure glue: enclosing structural prefixes upward, and
-        # (for devices attached at logic-site level or deeper) the
-        # structural locations inside the device's parent downward
-        glue_parents: Dict[Tuple[str, ...], List[int]] = {}
-        min_glue_depth = Level.LOGIC_SITE.value  # parent level as a depth check
-        for dev in device_locs:
-            dev_segments = dev.segments
-            own = index[dev]
-            for depth in range(len(dev_segments) + 1):
-                struct = by_segments.get(dev_segments[:depth])
-                if struct is not None:
-                    union(own, struct)
-            if len(dev_segments) - 1 >= min_glue_depth:
-                glue_parents.setdefault(dev_segments[:-1], []).append(own)
-        if glue_parents:
-            min_depth = min(len(segs) for segs in glue_parents)
-            for struct in struct_locs:
-                segments = struct.segments
-                own = index[struct]
-                for depth in range(min_depth, len(segments) + 1):
-                    for dev in glue_parents.get(segments[:depth], ()):
-                        union(dev, own)
-
-        grouped: Dict[int, List[LocationPath]] = {}
-        for i, loc in enumerate(locations):
-            grouped.setdefault(find(i), []).append(loc)
-        return list(grouped.values())
+        Midpoint decomposition: ``dist(a, b) <= 2k`` iff some device lies
+        within ``k`` of both, so the radius-``k`` ball's members are the
+        hubs; for ``2k + 1`` the middle edge of a shortest path joins
+        the two radius-``k`` balls, so every edge touching the ball is a
+        hub too.  For the default ``max_hops = 2`` that is the device and
+        its plain adjacency, not the 2-hop fan-out."""
+        max_hops = self._config.connectivity_max_hops
+        if max_hops <= 0:
+            return ()
+        ball = self._topo.hop_neighbourhood(name, max_hops // 2) | {name}
+        if max_hops % 2 == 0:
+            return tuple(ball)
+        graph = self._topo.device_graph()
+        edges = {
+            (a, b) if a < b else (b, a) for a in ball for b in graph[a]
+        }
+        return (*ball, *edges)
 
     # -- counting ------------------------------------------------------------------
 
@@ -374,26 +286,6 @@ def widest_first(groups: List[CandidateGroup]) -> List[CandidateGroup]:
 
     def key(group: CandidateGroup) -> Tuple[int, Tuple[str, ...], bool, LocationPath]:
         root, members = group
-        return len(root.segments), root.segments, root.is_device, min(members)
+        return len(root.segments), root.segments, root.is_device, members.least
 
     return sorted(groups, key=key)
-
-
-def _lca_prefix(component: Sequence[LocationPath]) -> LocationPath:
-    """A group's lowest common ancestor via one common-prefix computation.
-
-    The structural LCA is the longest common prefix of all members'
-    structural segments, and the common prefix of a set of tuples equals
-    the common prefix of its lexicographic min and max."""
-    if len(component) == 1:
-        return component[0]
-    seglists = [
-        loc.segments[:-1] if loc.is_device else loc.segments for loc in component
-    ]
-    lo, hi = min(seglists), max(seglists)
-    common = 0
-    for a, b in zip(lo, hi):
-        if a != b:
-            break
-        common += 1
-    return LocationPath(lo[:common])

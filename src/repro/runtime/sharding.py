@@ -27,6 +27,13 @@ can span shards:
   location, so any live root node merges all components, exactly as
   the unsharded containment rule would.
 
+Each shard tree (and the root tree) keeps its own partition alive
+across sweeps (:meth:`AlertTree.partition`), and hands back unchanged
+components as the same objects with their root and least member
+already computed, so the merge costs one step per component: with one
+regular shard there is no cross-shard edge to look for, and a
+component that merges with nothing is passed on as it is.
+
 Everything else about incident generation (thresholds, supersession,
 snapshots, counting) is inherited unchanged from :class:`Locator` by
 swapping the main tree for a :class:`ShardedAlertTree`, so shard-count
@@ -55,9 +62,9 @@ from typing import (
 )
 
 from ..core.alert import StructuredAlert
-from ..core.alert_tree import AlertTree, TreeRecord
+from ..core.alert_tree import AlertTree, Component, TreeRecord, lca_prefix
 from ..core.config import SkyNetConfig
-from ..core.locator import CandidateGroup, Locator, _lca_prefix, widest_first
+from ..core.locator import CandidateGroup, Locator, widest_first
 from ..topology.hierarchy import LocationPath
 from ..topology.network import Topology
 
@@ -271,7 +278,7 @@ def merge_shard_partitions(
     topology: Topology,
     max_hops: int,
     frontier: FrozenSet[str],
-    shard_parts: List[Tuple[int, List[List[LocationPath]]]],
+    shard_parts: List[Tuple[int, List[Component]]],
 ) -> List[CandidateGroup]:
     """Exact cross-shard merge of per-shard partitions (module docstring).
 
@@ -281,22 +288,17 @@ def merge_shard_partitions(
     :func:`~repro.core.locator.widest_first`, the same total order the
     unsharded locator uses, so incident ids do not depend on the shard
     count or on where the per-shard partitions were computed.
+
+    The work per call is one step per component, not per location: a
+    component that merges with nothing is passed on as it is, with its
+    cached root and least member, and frontier devices are only scanned
+    when two regular shards hold alerts (a cross-shard edge needs both).
     """
-    components: List[List[LocationPath]] = []
-    frontier_hits: List[Tuple[int, str, int]] = []  # (shard, device, comp)
-    root_components: List[int] = []
-
+    components: List[Component] = []
+    shard_of: List[int] = []
     for index, parts in shard_parts:
-        for component in parts:
-            comp_id = len(components)
-            components.append(component)
-            if index == ROOT_SHARD:
-                root_components.append(comp_id)
-                continue
-            for location in component:
-                if location.is_device and location.name in frontier:
-                    frontier_hits.append((index, location.name, comp_id))
-
+        components.extend(parts)
+        shard_of.extend([index] * len(parts))
     if not components:
         return []
 
@@ -313,25 +315,42 @@ def merge_shard_partitions(
         if ra != rb:
             parent[ra] = rb
 
-    # cross-shard device edges: alerting frontier pairs within max_hops
-    for i, (shard_a, name_a, comp_a) in enumerate(frontier_hits):
-        hood = topology.hop_neighbourhood(name_a, max_hops)
-        for shard_b, name_b, comp_b in frontier_hits[i + 1 :]:
-            if shard_a != shard_b and name_b in hood:
-                union(comp_a, comp_b)
+    if len(set(shard_of) - {ROOT_SHARD}) > 1:
+        # cross-shard device edges: alerting frontier pairs within max_hops
+        frontier_hits = [
+            (shard_of[comp_id], location.name, comp_id)
+            for comp_id, component in enumerate(components)
+            if shard_of[comp_id] != ROOT_SHARD
+            for location in component
+            if location.is_device and location.name in frontier
+        ]
+        for i, (shard_a, name_a, comp_a) in enumerate(frontier_hits):
+            hood = topology.hop_neighbourhood(name_a, max_hops)
+            for shard_b, name_b, comp_b in frontier_hits[i + 1 :]:
+                if shard_a != shard_b and name_b in hood:
+                    union(comp_a, comp_b)
 
     # a live root-located node contains -- and therefore joins -- all
-    if root_components:
-        anchor = root_components[0]
+    if ROOT_SHARD in shard_of:
+        anchor = shard_of.index(ROOT_SHARD)
         for other in range(len(components)):
             union(anchor, other)
 
-    merged: Dict[int, List[LocationPath]] = {}
+    merged: Dict[int, List[Component]] = {}
     for comp_id, component in enumerate(components):
-        merged.setdefault(find(comp_id), []).extend(component)
-    return widest_first(
-        [(_lca_prefix(component), component) for component in merged.values()]
-    )
+        merged.setdefault(find(comp_id), []).append(component)
+    groups: List[CandidateGroup] = []
+    for parts in merged.values():
+        if len(parts) == 1:
+            groups.append((parts[0].root, parts[0]))
+            continue
+        root = lca_prefix([part.root for part in parts])
+        least = min(part.least for part in parts)
+        members = Component(
+            (location for part in parts for location in part), root, least
+        )
+        groups.append((root, members))
+    return widest_first(groups)
 
 
 def frontier_devices(topology: Topology, max_hops: int) -> FrozenSet[str]:
@@ -366,10 +385,10 @@ class ShardedLocator(Locator):
     Inherits every algorithm from :class:`Locator` -- feeds, sweeps,
     thresholds, supersession, type counting -- and overrides only the
     candidate-group computation: each shard tree is partitioned
-    independently (:meth:`AlertTree.partition`, memoised by the tree on
-    its structure version; on the ``mp`` backend the worker that owns
-    the tree runs it), then components are unioned across shards along
-    alerting frontier-device edges and through any live root-shard node.
+    independently (:meth:`AlertTree.partition`, kept alive by the tree
+    across sweeps; on the ``mp`` backend the worker that owns the tree
+    runs it), then components are unioned across shards along alerting
+    frontier-device edges and through any live root-shard node.
     See the module docstring for why that merge is exact.
     """
 
@@ -398,7 +417,7 @@ class ShardedLocator(Locator):
 
     def _candidate_groups(self) -> List[CandidateGroup]:
         tree = self.sharded_tree
-        parts = tree.fan_out("partition", self._indexed_partition)
+        parts = tree.fan_out("partition", self.links)
         return merge_shard_partitions(
             self._topo,
             self._config.connectivity_max_hops,

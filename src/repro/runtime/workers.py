@@ -36,7 +36,7 @@ from multiprocessing.connection import Connection
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core.alert import StructuredAlert
-from ..core.alert_tree import AlertTree, Partitioner, TreeRecord, record_from
+from ..core.alert_tree import AlertTree, Component, Linker, TreeRecord, record_from
 from ..core.config import SkyNetConfig
 from ..core.locator import Locator
 from ..topology.hierarchy import LocationPath
@@ -115,11 +115,10 @@ def _worker_main(conn: Connection) -> None:
                     raise WorkerError(f"unknown command {method!r}")
                 elif method == "partition":
                     assert engine is not None, "partition before init"
-                    memo = tree.partition_memo
-                    hit = memo is not None and memo[0] == tree.structure_version
-                    key = "partition_cache_hits" if hit else "partitions_computed"
+                    stale = tree.partition_stale
+                    key = "partitions_computed" if stale else "partition_cache_hits"
                     counters[key] += 1
-                    result = tree.partition(engine._indexed_partition)
+                    result = tree.partition(engine.links)
                 else:
                     result = getattr(tree, method)(*args)
                     if method in _POSTED or method == "expire":
@@ -308,7 +307,7 @@ class RemoteAlertTree:
     def begin(self, method: str, *args: Any) -> Callable[[], Any]:
         """Send ``method(*args)``; return the function awaiting its result.
 
-        ``partition``'s partitioner is not shipped: the worker uses the
+        ``partition``'s linker is not shipped: the worker uses the
         engine it built at ``init`` from the same topology and config.
         """
         if method == "partition":
@@ -354,7 +353,7 @@ class RemoteAlertTree:
         self._post("insert_batch", (alerts,))
         return len(alerts)
 
-    def partition(self, partitioner: Partitioner) -> List[List[LocationPath]]:
+    def partition(self, linker: Linker) -> List[Component]:
         return self._call("partition")
 
     def iter_records_at(self, location: LocationPath) -> Iterator[TreeRecord]:

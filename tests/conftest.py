@@ -8,6 +8,16 @@ from repro.simulation.state import NetworkState
 from repro.topology.builder import TopologySpec, build_topology
 from repro.topology.traffic import generate_traffic
 
+from .test_equivalence_flood import check_built_inputs_unchanged
+
+
+@pytest.fixture(autouse=True)
+def _shared_scenario_inputs_unchanged():
+    """Scenario builds are shared across the session; see
+    :meth:`tests.test_equivalence_flood.FloodScenario.build`."""
+    yield
+    check_built_inputs_unchanged()
+
 
 @pytest.fixture(scope="session")
 def tiny_topology():

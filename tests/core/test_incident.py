@@ -1,8 +1,12 @@
 """Tests for Incident bookkeeping and rendering."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.alert import AlertLevel, AlertTypeKey, StructuredAlert
+from repro.core.alert_tree import record_from
 from repro.core.incident import Incident, IncidentStatus
 from repro.topology.hierarchy import LocationPath
 
@@ -120,3 +124,66 @@ def test_incident_ids_unique():
     a = Incident(LocationPath(("r",)), 0.0, {})
     b = Incident(LocationPath(("r",)), 0.0, {})
     assert a.incident_id != b.incident_id
+
+
+_SPOTS = [("r", "c"), ("r", "c", "l"), ("r", "c", "m"), ("r", "c", "l", "s")]
+_spans = st.tuples(
+    st.sampled_from(_SPOTS),
+    st.sampled_from(["link_down", "crc"]),
+    st.floats(min_value=0.0, max_value=1000.0),
+    st.floats(min_value=0.0, max_value=50.0),
+)
+
+
+def _span_alert(spot, name, first, span):
+    made = alert(spot, name=name, t=first)
+    made.last_seen = first + span
+    return made
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.lists(_spans, max_size=4),
+    steps=st.lists(
+        st.tuples(st.booleans(), st.lists(_spans, min_size=1, max_size=4)),
+        max_size=6,
+    ),
+)
+def test_start_time_is_a_running_minimum(seed, steps):
+    """The cached start equals the scan over every record after any mix
+    of seed nodes, adds and absorbed narrower incidents."""
+    nodes = {}
+    for spot, name, first, span in seed:
+        nodes.setdefault(LocationPath(spot), []).append(
+            record_from(_span_alert(spot, name, first, span))
+        )
+    incident = Incident(root=LocationPath(("r", "c")), created_at=500.0, seed_nodes=nodes)
+    for absorb, spans in steps:
+        if absorb:
+            other = Incident(root=LocationPath(("r", "c", "l")), created_at=10.0, seed_nodes={})
+            for spot, name, first, span in spans:
+                if other.covers(LocationPath(spot)):
+                    other.add(_span_alert(spot, name, first, span))
+            incident.absorb_incident(other)
+        else:
+            for spans_alert in spans:
+                incident.add(_span_alert(*spans_alert))
+        expected = min(
+            (r.first_seen for r in incident.records()), default=incident.created_at
+        )
+        assert incident.start_time == expected
+
+
+def test_start_time_of_an_incident_pickled_without_the_cache():
+    """Checkpoints written before the running minimum existed still
+    resume with the right start time."""
+    incident = Incident(root=LocationPath(("r", "c")), created_at=100.0, seed_nodes={})
+    incident.add(alert(("r", "c", "l"), t=180.0))
+    incident.add(alert(("r", "c", "m"), t=120.0))
+    del incident.__dict__["_first_seen"]
+    legacy = pickle.dumps(incident)
+    assert b"_first_seen" not in legacy
+    loaded = pickle.loads(legacy)
+    assert loaded.start_time == 120.0
+    loaded.add(alert(("r", "c", "l"), t=90.0))
+    assert loaded.start_time == 90.0

@@ -24,13 +24,17 @@ import copyreg
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.alert import StructuredAlert
-from repro.core.alert_tree import AlertTree, TreeRecord
+from repro.core.alert_tree import AlertTree, Component, TreeRecord
 from repro.core.config import SkyNetConfig
 from repro.core.evaluator import Evaluator
 from repro.core.incident import Incident
 from repro.core.locator import CandidateGroup, Locator, widest_first
 from repro.core.pipeline import SkyNet
-from repro.runtime.sharding import ShardedAlertTree, ShardedLocator
+from repro.runtime.sharding import (
+    ShardedAlertTree,
+    ShardedLocator,
+    merge_shard_partitions,
+)
 from repro.topology.hierarchy import Level, LocationPath, lowest_common_ancestor
 from repro.topology.network import Topology
 
@@ -42,7 +46,7 @@ class ReferenceAlertTree(AlertTree):
         # pickles as the plain AlertTree earlier commits wrote under the
         # default config (``_fast`` False, heap empty), so suites can
         # produce a legacy checkpoint and load it with production code
-        state = {**self.__dict__, "_fast": False}
+        state = {**self.__getstate__(), "_fast": False}
         return copyreg._reconstructor, (AlertTree, object, None), state  # type: ignore[attr-defined]
 
     def insert(self, alert: StructuredAlert) -> TreeRecord:
@@ -65,9 +69,7 @@ class ReferenceAlertTree(AlertTree):
                     del node[key]
                     removed += 1
             if not node:
-                del self._nodes[location]
-                self.structure_version += 1
-                self._dirty.discard(location)
+                self._drop_node(location)
         return removed
 
 
@@ -146,11 +148,12 @@ class _ReferenceRules(Locator):
             groups.setdefault(find(loc), []).append(loc)
         return list(groups.values())
 
-    def _indexed_partition(
-        self, locations: List[LocationPath]
-    ) -> List[List[LocationPath]]:
-        # the seam the sharded locator partitions each shard tree through
-        return self._component_partition(locations)
+    def _rooted(self, locations: List[LocationPath]) -> List[Component]:
+        """The pairwise-scan partition, each group rooted at its LCA."""
+        return [
+            Component(comp, _lca(comp), min(comp))
+            for comp in self._component_partition(locations)
+        ]
 
 
 def _lca(component: Sequence[LocationPath]) -> LocationPath:
@@ -167,8 +170,8 @@ class ReferenceLocator(_ReferenceRules):
         self.main_tree = ReferenceAlertTree()
 
     def _candidate_groups(self) -> List[CandidateGroup]:
-        components = self._component_partition(self.main_tree.locations())
-        return widest_first([(_lca(comp), comp) for comp in components])
+        components = self._rooted(self.main_tree.locations())
+        return widest_first([(comp.root, comp) for comp in components])
 
 
 class ReferenceShardedLocator(_ReferenceRules, ShardedLocator):
@@ -185,6 +188,17 @@ class ReferenceShardedLocator(_ReferenceRules, ShardedLocator):
         tree: ShardedAlertTree = self.main_tree  # type: ignore[assignment]
         tree.shard_trees = [ReferenceAlertTree() for _ in tree.shard_trees]
         tree.root_tree = ReferenceAlertTree()
+
+    def _candidate_groups(self) -> List[CandidateGroup]:
+        return merge_shard_partitions(
+            self._topo,
+            self._config.connectivity_max_hops,
+            self._frontier,
+            [
+                (index, self._rooted(shard.locations()))
+                for index, shard in self.sharded_tree.trees()
+            ],
+        )
 
 
 class ReferenceEvaluator(Evaluator):

@@ -21,9 +21,11 @@ at all: any optimisation that changes output fails here.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import pickle
 import random
 import re
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 import pytest
 
@@ -112,15 +114,54 @@ def _device_down(
 # at once.
 
 
+Built = Tuple[Topology, NetworkState, List[RawAlert]]
+
+#: scenario name -> (its built inputs, their fingerprint): four batteries
+#: iterate the registry, and the dense flood alone takes seconds to build
+_BUILT: Dict[str, Tuple[Built, str]] = {}
+#: names handed out since the last :func:`check_built_inputs_unchanged`
+_HANDED_OUT: Set[str] = set()
+
+
+def _inputs_fingerprint(built: Built) -> str:
+    _, state, raws = built
+    digest = hashlib.sha256(pickle.dumps(raws, protocol=pickle.HIGHEST_PROTOCOL))
+    digest.update(repr((state.now, state._conditions)).encode())
+    return digest.hexdigest()
+
+
+def check_built_inputs_unchanged() -> None:
+    """Fail when a test changed the raws or the state it was handed.
+
+    Builds are shared for the whole session, so a test that sorted the
+    raws or added a condition would silently change every later test's
+    inputs; ``tests/conftest.py`` runs this after each test."""
+    for name in sorted(_HANDED_OUT):
+        built, fingerprint = _BUILT[name]
+        assert _inputs_fingerprint(built) == fingerprint, (
+            f"a test changed the shared inputs of scenario {name!r}"
+        )
+    _HANDED_OUT.clear()
+
+
 @dataclasses.dataclass(frozen=True)
 class FloodScenario:
     """A named, reproducible flood for differential testing."""
 
     name: str
-    build: Callable[[], Tuple[Topology, NetworkState, List[RawAlert]]]
+    make: Callable[[], Built]
     #: synthetic floods must produce incidents to be a useful gate; the
     #: paper's named scenarios may legitimately be quiet on the small fabric
     require_incidents: bool = True
+
+    def build(self) -> Built:
+        """The scenario's topology, state and raws, built once per
+        session and shared: callers must not change them."""
+        if self.name not in _BUILT:
+            built = self.make()
+            _BUILT[self.name] = (built, _inputs_fingerprint(built))
+        _HANDED_OUT.add(self.name)
+        return _BUILT[self.name][0]
 
 
 def _conditions_scenario(
@@ -140,7 +181,7 @@ def _conditions_scenario(
             state.add_condition(cond)
         return topo, state, _stream(topo, state, horizon, seed)
 
-    return FloodScenario(name=name, build=build, require_incidents=require_incidents)
+    return FloodScenario(name=name, make=build, require_incidents=require_incidents)
 
 
 def _device_down_conditions(n_down: int):
@@ -251,7 +292,7 @@ def _campaign_scenario(seed: int) -> FloodScenario:
         )
         return topo, state, _stream(topo, state, 600.0, seed)
 
-    return FloodScenario(name=f"campaign_s{seed}", build=build)
+    return FloodScenario(name=f"campaign_s{seed}", make=build)
 
 
 def _named_scenario(name: str, scenario_fn) -> FloodScenario:
@@ -267,7 +308,7 @@ def _named_scenario(name: str, scenario_fn) -> FloodScenario:
 
     # named scenarios are allowed to produce zero incidents on the small
     # fabric; the synthetic floods guarantee non-trivial coverage
-    return FloodScenario(name=name, build=build, require_incidents=False)
+    return FloodScenario(name=name, make=build, require_incidents=False)
 
 
 _NAMED = [
